@@ -9,12 +9,12 @@ import (
 	"starnuma/internal/workload"
 )
 
-// plainSource hides a source's fast-path contracts (phaseBudgeter,
-// bulkReplayer, streamIdentifier) behind the bare AccessSource
-// interface, forcing TraceSimulate down the scalar regenerate-and-visit
-// path with no recording and no memoization. It is the reference
+// plainSource hides a source's stream identity, so TraceSimulate walks
+// every phase stream with no memoization. It is the reference
 // implementation for the differential tests below.
 type plainSource struct{ AccessSource }
+
+func (plainSource) StreamSig() (string, bool) { return "", false }
 
 // traceOutputs projects the fields of a TraceResult that step C and the
 // reports consume, for deep comparison.
@@ -31,9 +31,8 @@ func traceOutputs(tr *TraceResult) map[string]any {
 }
 
 // TestIngestMemoizationIsExact runs step B for several policy variants
-// over the same workload twice — once through the bare scalar path
-// (plainSource: no stream recording, no memo) and once through the full
-// fast path, with the ingest memo warmed by the preceding variants —
+// over the same workload twice — once walking every stream (plainSource:
+// no memo) and once through the memo, warmed by the preceding variants —
 // and requires byte-identical results. This is the cross-variant
 // scenario the memo exists for: the second and later fast-path runs
 // restore phase ingests recorded under a different migration policy.
@@ -66,7 +65,7 @@ func TestIngestMemoizationIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Twice through the fast path: the first run may record the
+			// Twice through the memo: the first run may record the
 			// memo entries, the second is guaranteed to restore them.
 			for round := 0; round < 2; round++ {
 				got, err := TraceSimulate(sys, cfg, newGen())
@@ -74,7 +73,7 @@ func TestIngestMemoizationIsExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(traceOutputs(got), traceOutputs(want)) {
-					t.Fatalf("round %d: memoized trace result diverges from scalar reference", round)
+					t.Fatalf("round %d: memoized trace result diverges from unmemoized reference", round)
 				}
 			}
 		})
@@ -83,7 +82,7 @@ func TestIngestMemoizationIsExact(t *testing.T) {
 
 // TestIngestMemoKeyedByTrackerShape pins that runs differing only in
 // tracker shape do not share memo entries: a T0 run after a T16 run of
-// the same workload must still match its own scalar reference.
+// the same workload must still match its own unmemoized reference.
 func TestIngestMemoKeyedByTrackerShape(t *testing.T) {
 	sys := StarNUMASystem()
 	topo := topology.New(sys.Topology)
@@ -108,7 +107,7 @@ func TestIngestMemoKeyedByTrackerShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(traceOutputs(got), traceOutputs(want)) {
-			t.Fatalf("tracker shape %v/%d: memoized result diverges from scalar reference",
+			t.Fatalf("tracker shape %v/%d: memoized result diverges from unmemoized reference",
 				cfg.Tracker, cfg.RegionPages)
 		}
 	}

@@ -73,11 +73,13 @@ type Window struct {
 	stats windowStats
 }
 
-// RunWindow executes the i-th checkpoint's timing window. gen must
-// replay the same per-core streams as the source the plan was built
-// from; a fresh generator built from the same spec is equivalent, since
-// streams are pure functions of (seed, core, phase) — that purity is
-// what lets concurrent windows each own a private source.
+// RunWindow executes the i-th checkpoint's timing window over the
+// checkpoint phase's stream: it declares the plan's phase budget on gen,
+// binds the phase with ResetPhase and reads gen.Stream(). gen must
+// yield the same streams as the source the plan was built from; a fresh
+// generator built from the same spec does, since streams are pure
+// functions of (seed, core, phase, budget) — that purity is what lets
+// concurrent windows each own a private source.
 //
 //starnuma:hotpath step-C entry point, one call per (window, worker)
 func (p *Plan) RunWindow(i int, gen AccessSource) Window {

@@ -40,6 +40,7 @@ type coreState struct {
 	id, socket  int
 	instr       uint64   // instructions retired so far (by gap accounting)
 	compute     sim.Time // compute-completion time of work up to the pending miss
+	next, end   int32    // cursor into the core's range of the phase stream
 	pendingA    workload.Access
 	hasPending  bool
 	outstanding int
@@ -106,8 +107,11 @@ type timingSystem struct {
 	cfg  SimConfig
 	topo *topology.Topology
 	eng  *sim.Engine
-	gen  AccessSource
 	key  scratchKey
+
+	// stream is the window's phase stream; cores read it through their
+	// cursors.
+	stream *workload.Stream
 
 	links   []*link.Link
 	ctrls   []*memdev.Controller // indexed by node
@@ -223,7 +227,7 @@ func acquireTimingSystem(sys SystemConfig, cfg SimConfig, gen AccessSource,
 //starnuma:coldpath once-per-window teardown
 func releaseTimingSystem(ts *timingSystem) {
 	ts.w = windowStats{}
-	ts.gen = nil
+	ts.stream = nil
 	ts.replicated = nil
 	ts.sampler = nil
 	ts.sched = nil
@@ -316,7 +320,8 @@ func (ts *timingSystem) resetScratch() {
 	clear(ts.drainInFlight)
 }
 
-// prepare applies one checkpoint window's configuration to the scratch.
+// prepare applies one checkpoint window's configuration to the scratch;
+// gen must already be bound to the checkpoint's phase.
 // It runs on both fresh and recycled scratches, so everything a window
 // can observe is (re)set here or in resetScratch — a recycled system
 // must be indistinguishable from a new one.
@@ -324,7 +329,6 @@ func (ts *timingSystem) resetScratch() {
 //starnuma:coldpath once-per-window configuration
 func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint, replicated []bool) {
 	ts.cfg = cfg
-	ts.gen = gen
 	ts.mlp = gen.Spec().MLP
 	ts.chargeTracker = policyChargesTracker(cfg)
 	ts.w = windowStats{}
@@ -394,9 +398,12 @@ func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint,
 	ts.pageHome = append(ts.pageHome[:0], chk.PageHome...)
 	ts.replicated = replicated
 
-	// Cores: reset in place, keeping identity and the bound wake event.
+	// Cores: reset in place, keeping identity and the bound wake event,
+	// with their cursors at the start of the phase stream.
+	ts.stream = gen.Stream()
 	for _, cs := range ts.cores {
-		*cs = coreState{id: cs.id, socket: gen.SocketOf(cs.id), wake: cs.wake}
+		*cs = coreState{id: cs.id, socket: gen.SocketOf(cs.id), wake: cs.wake,
+			next: ts.stream.Off[cs.id], end: ts.stream.Off[cs.id+1]}
 	}
 	ts.running = len(ts.cores)
 	for i := range ts.annexCount {
@@ -450,19 +457,23 @@ func unloadedLatencies(topo *topology.Topology, local sim.Time) [stats.NumAccess
 
 // Transaction state machine.
 //
-// The per-access coherence paths used to be chains of nested closures —
-// one fresh heap allocation per hop, per message, per access. A txn is
-// the flattened form: a short program of steps (link sends, a memory
-// access, completion bookkeeping) executed by one reusable event
-// function. A step whose start time is in the future schedules the txn
-// and returns; when the event fires, engine-now has reached that time
-// and execution proceeds — so each step's guard is naturally
-// idempotent. Event times, kinds and scheduling order are identical to
-// the closure chains', which the bit-identity determinism tests gate.
+// Every modeled message is a txn: a short program of steps (link
+// sends, a memory access, a timed delay, completion bookkeeping)
+// executed by one reusable event function. A step whose start time is
+// in the future schedules the txn and returns; when the event fires,
+// engine-now has reached that time and execution proceeds — so each
+// step's guard is naturally idempotent. Every Link.Send and
+// Controller.Access of a timing window is issued from run, which is
+// also the one place link and memory time is charged to the
+// attribution ledger; Link.SendBatch (a page move's first hop) is the
+// one batched exception.
 const (
-	opSend = iota // charge st.bytes over the route st.from -> st.to
-	opMem         // DRAM access at node st.to
-	opDone        // completion: AMAT/trace/core bookkeeping
+	opSend  = iota // charge st.bytes over the route st.from -> st.to
+	opMem          // DRAM access at node st.to
+	opDone         // completion: AMAT/trace/core bookkeeping
+	opDelay        // wait until t.at as one "replica" event, even a zero-length one
+	opJoin         // fan-in: report this packet's arrival to its page move
+	opLand         // page move: the page lands, releasing stalled accesses
 )
 
 // hopCoh tags a send step as a coherence leg: an extra hop a block
@@ -479,26 +490,33 @@ type txnStep struct {
 	from, to topology.NodeID
 }
 
-// txn is a pooled coherence-transaction state machine.
+// txn is a pooled transaction state machine.
 type txn struct {
 	ts     *timingSystem
 	fn     sim.Event // bound once: resumes run()
 	steps  [6]txnStep
 	nsteps uint8
 	idx    uint8
-	hopIdx int   // progress within the current send step's route
+	hopIdx int   // progress within the current send step's route; opDelay's armed flag
 	route  []int // current send step's route (borrowed from topology)
 	at     sim.Time
 
 	// Completion context (opDone); unused by fire-and-forget txns.
-	addr   uint64
-	cs     *coreState
-	acc    stats.AccessType
-	issued sim.Time
-	record bool
-	socket topology.NodeID
-	home   topology.NodeID
-	res    coherence.Result
+	addr    uint64
+	cs      *coreState
+	acc     stats.AccessType
+	issued  sim.Time
+	record  bool
+	replica bool // a replicated-page access: not a directory transaction, so untraced
+	socket  topology.NodeID
+	home    topology.NodeID
+	res     coherence.Result
+
+	// Page moves: a packet's parent is its page-move txn, which counts
+	// the packets still in flight. The move keeps the page in addr, the
+	// route ends in socket/home and its start time in issued.
+	parent  *txn
+	pending int
 }
 
 // getTxn returns a blank transaction with at/addr/steps to be filled by
@@ -523,12 +541,13 @@ func (ts *timingSystem) getTxn() *txn {
 func (ts *timingSystem) putTxn(t *txn) {
 	t.cs = nil
 	t.route = nil
+	t.parent = nil
 	t.res = coherence.Result{}
 	t.nsteps, t.idx, t.hopIdx = 0, 0, 0
 	// Clear record so a recycled txn reused fire-and-forget (writebacks,
 	// invalidations, annex flushes) never inherits a demand txn's flag —
 	// the attribution ledger charges only steps with record set.
-	t.record = false
+	t.record, t.replica = false, false
 	//starnumavet:allow hotalloc amortized free-list growth; capacity is retained across windows
 	ts.txnFree = append(ts.txnFree, t)
 }
@@ -551,9 +570,9 @@ func (t *txn) memStep(node topology.NodeID) {
 	t.nsteps++
 }
 
-// doneStep appends the completion step.
-func (t *txn) doneStep() {
-	t.steps[t.nsteps] = txnStep{op: opDone}
+// step appends an operand-free step (opDone, opDelay, opJoin, opLand).
+func (t *txn) step(op uint8) {
+	t.steps[t.nsteps] = txnStep{op: op}
 	t.nsteps++
 }
 
@@ -607,6 +626,33 @@ func (t *txn) run(_ sim.Time) {
 			}
 			t.finish(now)
 			t.idx++
+		case opDelay:
+			if t.hopIdx == 0 {
+				t.hopIdx = 1
+				ts.eng.AtKind(t.at, "replica", t.fn)
+				return
+			}
+			t.hopIdx = 0
+			t.idx++
+		case opJoin:
+			mv := t.parent
+			if t.at > mv.at {
+				mv.at = t.at
+			}
+			mv.pending--
+			t.idx++
+			if mv.pending == 0 {
+				ts.traceMove(mv)
+				mv.run(ts.eng.Now())
+			}
+		case opLand:
+			now := ts.eng.Now()
+			if t.at > now {
+				ts.eng.AtKind(t.at, "migrate_land", t.fn)
+				return
+			}
+			t.idx++
+			ts.land(uint32(t.addr))
 		}
 	}
 	ts.putTxn(t)
@@ -623,7 +669,7 @@ func (t *txn) finish(now2 sim.Time) {
 		ts.w.amat.Observe(t.acc, now2-t.issued)
 		ts.w.misses++
 	}
-	if ts.txnTrc != nil {
+	if ts.txnTrc != nil && !t.replica {
 		ts.txnTrc.Record(t.issued, now2-t.issued, ts.lanes[t.socket], t.socket, t.home, t.res)
 	}
 	// Charge the miss's latency, divided by the core's MLP, as serial
@@ -635,87 +681,65 @@ func (t *txn) finish(now2 sim.Time) {
 	ts.tryIssue(cs)
 }
 
-// sendPath forwards a message hop by hop from node from to node to,
-// calling then with the delivery time. Empty routes (from == to) deliver
-// at start. Retained for the rare paths (replication, migration); the
-// per-access coherence paths use txn programs instead.
-func (ts *timingSystem) sendPath(start sim.Time, from, to topology.NodeID, bytes int, then func(sim.Time)) {
-	ts.sendHops(start, ts.topo.Route(from, to), bytes, then)
-}
-
-func (ts *timingSystem) sendHops(at sim.Time, hops []int, bytes int, then func(sim.Time)) {
-	if len(hops) == 0 {
-		then(at)
-		return
-	}
-	send := func(now sim.Time) {
-		delivered, _ := ts.links[hops[0]].Send(now, bytes)
-		ts.sendHops(delivered, hops[1:], bytes, then)
-	}
-	if at > ts.eng.Now() {
-		ts.eng.AtKind(at, "send", send)
-	} else {
-		send(ts.eng.Now())
-	}
-}
-
-// sendPage streams one 4KB page as line-sized packets from from to to,
-// invoking then when the final packet lands. Packets share the route's
-// links with demand traffic in FIFO order, so migrations consume
-// bandwidth without head-of-line blocking whole-page transfers.
+// sendPage moves one 4KB page from from to to as line-sized packets,
+// one txn each, fanning in to a page-move txn that lands the page once
+// the last packet arrives. Packets share the route's links with demand
+// traffic in FIFO order, so migrations consume bandwidth without
+// head-of-line blocking whole-page transfers.
 //
 // The first hop — where all packets arrive together — is charged as one
 // SendBatch, which is closed-form identical to 64 sequential Sends; the
 // per-packet fallback covers fault-injected links, whose injector state
 // evolves message by message.
-func (ts *timingSystem) sendPage(start sim.Time, from, to topology.NodeID, then func(sim.Time)) {
+func (ts *timingSystem) sendPage(now sim.Time, page uint32, from, to topology.NodeID) {
+	mv := ts.getTxn()
+	mv.at = 0
+	mv.addr = uint64(page)
+	mv.socket, mv.home = from, to
+	mv.issued = now
+	mv.pending = pageLineMessages
+	mv.step(opLand)
 	route := ts.topo.Route(from, to)
-	if len(route) > 0 && start <= ts.eng.Now() {
-		if first, step, ok := ts.links[route[0]].SendBatch(start, ts.sys.DataBytes, pageLineMessages); ok {
-			remaining := pageLineMessages
-			var lastArrival sim.Time
-			cb := func(arr sim.Time) {
-				if arr > lastArrival {
-					lastArrival = arr
-				}
-				remaining--
-				if remaining == 0 {
-					then(lastArrival)
-				}
-			}
-			for i := 0; i < pageLineMessages; i++ {
-				ts.sendHops(first+step.Scale(i), route[1:], ts.sys.DataBytes, cb)
-			}
-			return
-		}
+	var first, step sim.Time
+	batched := false
+	if len(route) > 0 {
+		first, step, batched = ts.links[route[0]].SendBatch(now, ts.sys.DataBytes, pageLineMessages)
 	}
-	remaining := pageLineMessages
-	var lastArrival sim.Time
 	for i := 0; i < pageLineMessages; i++ {
-		ts.sendPath(start, from, to, ts.sys.DataBytes, func(arr sim.Time) {
-			if arr > lastArrival {
-				lastArrival = arr
-			}
-			remaining--
-			if remaining == 0 {
-				then(lastArrival)
-			}
-		})
+		p := ts.getTxn()
+		p.parent = mv
+		p.at = now
+		p.sendStep(from, to, ts.sys.DataBytes)
+		p.step(opJoin)
+		if batched {
+			// The batch delivered the first hop; continue from the second.
+			p.at = first + step.Scale(i)
+			p.route, p.hopIdx = route, 1
+		}
+		p.run(now)
 	}
 }
 
-// memAccess performs a DRAM access at node when the request arrives
-// there, invoking then with the data-ready time. Retained for the rare
-// paths; per-access coherence paths use txn programs.
-func (ts *timingSystem) memAccess(at sim.Time, node topology.NodeID, addr uint64, then func(sim.Time)) {
-	access := func(now sim.Time) {
-		done, _ := ts.ctrls[node].Access(now, addr, cache.BlockBytes)
-		then(done)
+// traceMove records a page move's span once its last packet arrived.
+func (ts *timingSystem) traceMove(mv *txn) {
+	if ts.w.trc != nil && ts.trcMigN < migrationTraceCap {
+		ts.trcMigN++
+		ts.w.trc.SpanArgs("migrate", "page move", ts.lanes[mv.home], mv.issued, mv.at-mv.issued,
+			evtrace.Arg{Key: "page", Val: strconv.FormatUint(mv.addr, 10)},
+			evtrace.Arg{Key: "from", Val: ts.lanes[mv.socket]})
 	}
-	if at > ts.eng.Now() {
-		ts.eng.AtKind(at, "mem", access)
-	} else {
-		access(ts.eng.Now())
+}
+
+// land completes a page's migration: the accesses stalled behind it
+// re-issue.
+func (ts *timingSystem) land(page uint32) {
+	waiters := ts.inFlight[page]
+	delete(ts.inFlight, page)
+	if ts.led != nil {
+		delete(ts.drainInFlight, page)
+	}
+	for _, w := range waiters {
+		w()
 	}
 }
 
@@ -764,48 +788,6 @@ func (ts *timingSystem) chargeMem(socket, node topology.NodeID, arrived, done, q
 	ts.led.Charge(s, attrib.OnChip, onChip)
 	ts.led.Charge(s, attrib.DRAMQueue, queuing)
 	ts.led.Charge(s, attrib.DRAM, done-arrived-onChip-queuing)
-}
-
-// sendHopsCharged is sendHops with per-hop attribution: identical event
-// kinds and timing, plus a ledger charge after each Send. Used by the
-// replicated-access demand legs, which keep the closure style; callers
-// pick it only when ts.led != nil and the access is recorded, so the
-// attribution-off path is untouched.
-func (ts *timingSystem) sendHopsCharged(at sim.Time, hops []int, bytes int, socket topology.NodeID, then func(sim.Time)) {
-	if len(hops) == 0 {
-		then(at)
-		return
-	}
-	send := func(now sim.Time) {
-		delivered, q := ts.links[hops[0]].Send(now, bytes)
-		ts.chargeHop(hops[0], socket, now, delivered, q, false)
-		ts.sendHopsCharged(delivered, hops[1:], bytes, socket, then)
-	}
-	if at > ts.eng.Now() {
-		ts.eng.AtKind(at, "send", send)
-	} else {
-		send(ts.eng.Now())
-	}
-}
-
-// sendPathCharged is sendPath with per-hop attribution.
-func (ts *timingSystem) sendPathCharged(start sim.Time, from, to topology.NodeID, bytes int, socket topology.NodeID, then func(sim.Time)) {
-	ts.sendHopsCharged(start, ts.topo.Route(from, to), bytes, socket, then)
-}
-
-// memAccessCharged is memAccess with attribution: identical event kind
-// and timing, plus the controller-round-trip charge.
-func (ts *timingSystem) memAccessCharged(at sim.Time, node topology.NodeID, socket topology.NodeID, addr uint64, then func(sim.Time)) {
-	access := func(now sim.Time) {
-		done, q := ts.ctrls[node].Access(now, addr, cache.BlockBytes)
-		ts.chargeMem(socket, node, now, done, q)
-		then(done)
-	}
-	if at > ts.eng.Now() {
-		ts.eng.AtKind(at, "mem", access)
-	} else {
-		access(ts.eng.Now())
-	}
 }
 
 // start launches the cores and the migration engine.
@@ -860,29 +842,7 @@ func (ts *timingSystem) scheduleMigrations(chk Checkpoint) {
 			if from == Unassigned {
 				from = m.To
 			}
-			ts.sendPage(now, from, m.To, func(arr sim.Time) {
-				if ts.w.trc != nil && ts.trcMigN < migrationTraceCap {
-					ts.trcMigN++
-					ts.w.trc.SpanArgs("migrate", "page move", ts.lanes[m.To], now, arr-now,
-						evtrace.Arg{Key: "page", Val: strconv.FormatUint(uint64(page), 10)},
-						evtrace.Arg{Key: "from", Val: ts.lanes[from]})
-				}
-				fire := func(sim.Time) {
-					waiters := ts.inFlight[page]
-					delete(ts.inFlight, page)
-					if ts.led != nil {
-						delete(ts.drainInFlight, page)
-					}
-					for _, w := range waiters {
-						w()
-					}
-				}
-				if arr > ts.eng.Now() {
-					ts.eng.AtKind(arr, "migrate_land", fire)
-				} else {
-					fire(ts.eng.Now())
-				}
-			})
+			ts.sendPage(now, page, from, m.To)
 		})
 	}
 	// Remaining migrations take effect instantly at window start: the
@@ -893,7 +853,7 @@ func (ts *timingSystem) scheduleMigrations(chk Checkpoint) {
 	}
 }
 
-// tryIssue advances a core: it fetches accesses from the generator and
+// tryIssue advances a core: it reads accesses from the phase stream and
 // issues them subject to the MLP cap and the compute-position constraint.
 //
 //starnuma:hotpath the per-instruction issue loop, dispatched from engine events
@@ -911,7 +871,13 @@ func (ts *timingSystem) tryIssue(cs *coreState) {
 				}
 				return
 			}
-			a := ts.gen.Next(cs.id)
+			i := cs.next
+			if i >= cs.end {
+				streamOverrun(cs.id)
+			}
+			cs.next = i + 1
+			s := ts.stream
+			a := workload.Access{Gap: s.Gaps[i], Page: s.Pages[i], Block: s.Blocks[i], Write: s.Writes[i]}
 			cs.instr += uint64(a.Gap)
 			cs.compute += gapTime(a.Gap, ts.ipc0, ts.cyclePS)
 			cs.pendingA = a
@@ -977,6 +943,7 @@ func (ts *timingSystem) issueAccess(cs *coreState, a workload.Access, issued sim
 	// Stall behind an in-flight migration of the page (§IV-C).
 	if waiters, ok := ts.inFlight[a.Page]; ok {
 		ts.w.migrStalled++
+		var reissue func()
 		if ts.led != nil && record {
 			// Charged variant: book the wait (from now until the page
 			// lands) to migration, or to drain when the in-flight move is
@@ -989,17 +956,15 @@ func (ts *timingSystem) issueAccess(cs *coreState, a workload.Access, issued sim
 				cat = attrib.Drain
 			}
 			sock := cs.socket
-			//starnumavet:allow hotalloc waiter list exists only while a migration of this page is in flight; stalls are rare by design
-			ts.inFlight[a.Page] = append(waiters, func() {
+			reissue = func() {
 				ts.led.Charge(sock, cat, ts.eng.Now()-start)
 				ts.issueAccess(cs, a, issued, record)
-			})
-			return
+			}
+		} else {
+			reissue = func() { ts.issueAccess(cs, a, issued, record) }
 		}
 		//starnumavet:allow hotalloc waiter list exists only while a migration of this page is in flight; stalls are rare by design
-		ts.inFlight[a.Page] = append(waiters, func() {
-			ts.issueAccess(cs, a, issued, record)
-		})
+		ts.inFlight[a.Page] = append(waiters, reissue)
 		return
 	}
 	now := ts.eng.Now()
@@ -1135,7 +1100,7 @@ func (ts *timingSystem) issueAccessAfterWalk(cs *coreState, a workload.Access, i
 		if home != socket {
 			t.sendStep(home, socket, ts.sys.DataBytes)
 		}
-		t.doneStep()
+		t.step(opDone)
 	case coherence.BlockTransfer3Hop:
 		// R→H request, directory+memory access at H, H→O forward, O→R
 		// data (Fig. 4's red path).
@@ -1144,7 +1109,7 @@ func (ts *timingSystem) issueAccessAfterWalk(cs *coreState, a workload.Access, i
 		t.memStep(home)
 		t.sendStepCoh(home, res.Owner, ts.sys.MessageBytes)
 		t.sendStepCoh(res.Owner, socket, ts.sys.DataBytes)
-		t.doneStep()
+		t.step(opDone)
 	case coherence.BlockTransfer4Hop:
 		poolN := ts.topo.PoolNode()
 		t.sendStep(socket, poolN, ts.sys.MessageBytes)
@@ -1162,7 +1127,7 @@ func (ts *timingSystem) issueAccessAfterWalk(cs *coreState, a workload.Access, i
 			t.sendStepCoh(res.Owner, poolN, ts.sys.DataBytes)
 			t.sendStepCoh(poolN, socket, ts.sys.DataBytes)
 		}
-		t.doneStep()
+		t.step(opDone)
 	default:
 		unknownOutcomePanic(res.Outcome)
 	}
@@ -1177,43 +1142,33 @@ func unknownOutcomePanic(o coherence.Outcome) {
 	panic(fmt.Sprintf("core: unknown outcome %v", o))
 }
 
-// replicatedAccess services an access to a software-replicated page.
+// replicatedAccess services an access to a software-replicated page:
+// a read is served by the socket-local replica; a store broadcasts
+// invalidations to every other socket, stalls for the kernel-level
+// replica-coherence penalty, then updates the page's home copy.
 //
 //starnuma:hotpath replica-read variant of issueAccess
 func (ts *timingSystem) replicatedAccess(cs *coreState, a workload.Access,
 	socket, home topology.NodeID, addr uint64, issued sim.Time, record bool) {
 	now := ts.eng.Now()
-	fin := func(done sim.Time, at stats.AccessType) {
-		step := func(now2 sim.Time) {
-			if record {
-				ts.w.amat.Observe(at, now2-issued)
-				ts.w.misses++
-			}
-			cs.compute += (now2 - issued) / sim.Time(ts.mlp)
-			cs.outstanding--
-			ts.tryIssue(cs)
-		}
-		if done > ts.eng.Now() {
-			ts.eng.AtKind(done, "complete", step)
-		} else {
-			step(ts.eng.Now())
-		}
-	}
-	charge := ts.led != nil && record
+	t := ts.getTxn()
+	t.at = now
+	t.addr = addr
+	t.cs = cs
+	t.issued = issued
+	t.record = record
+	t.replica = true
+	t.socket, t.home = socket, home
 	if !a.Write {
 		if record {
 			ts.w.replicaReads++
 		}
-		if charge {
-			ts.memAccessCharged(now, socket, socket, addr, func(done sim.Time) { fin(done, stats.Local) })
-		} else {
-			ts.memAccess(now, socket, addr, func(done sim.Time) { fin(done, stats.Local) })
-		}
+		t.acc = stats.Local
+		t.memStep(socket)
+		t.step(opDone)
+		t.run(now)
 		return
 	}
-	// Store: software replica coherence. Broadcast invalidations to every
-	// other socket, stall for the kernel-level penalty, then update the
-	// page's home copy.
 	if record {
 		ts.w.replicaWriteStalls++
 	}
@@ -1221,42 +1176,29 @@ func (ts *timingSystem) replicatedAccess(cs *coreState, a workload.Access,
 		if topology.NodeID(s) == socket {
 			continue
 		}
-		ts.sendPath(now, socket, topology.NodeID(s), ts.sys.MessageBytes, func(sim.Time) {})
+		inv := ts.getTxn()
+		inv.at = now
+		inv.sendStep(socket, topology.NodeID(s), ts.sys.MessageBytes)
+		inv.run(now)
 	}
 	penalty := ts.cfg.Replication.WritePenaltyCycles.Time(ts.cyclePS)
-	at := ts.classify(socket, home)
-	if charge {
+	if ts.led != nil && record {
 		// The kernel-level replica-coherence stall is exactly penalty;
 		// the home round trip decomposes like any demand access.
 		ts.led.Charge(cs.socket, attrib.Replication, penalty)
-		ts.eng.AtKind(now+penalty, "replica", func(start sim.Time) {
-			if home == socket {
-				ts.memAccessCharged(start, home, socket, addr, func(done sim.Time) { fin(done, at) })
-				return
-			}
-			ts.sendPathCharged(start, socket, home, ts.sys.MessageBytes, socket, func(arr sim.Time) {
-				ts.memAccessCharged(arr, home, socket, addr, func(ready sim.Time) {
-					ts.sendPathCharged(ready, home, socket, ts.sys.DataBytes, socket, func(done sim.Time) {
-						fin(done, at)
-					})
-				})
-			})
-		})
-		return
 	}
-	ts.eng.AtKind(now+penalty, "replica", func(start sim.Time) {
-		if home == socket {
-			ts.memAccess(start, home, addr, func(done sim.Time) { fin(done, at) })
-			return
-		}
-		ts.sendPath(start, socket, home, ts.sys.MessageBytes, func(arr sim.Time) {
-			ts.memAccess(arr, home, addr, func(ready sim.Time) {
-				ts.sendPath(ready, home, socket, ts.sys.DataBytes, func(done sim.Time) {
-					fin(done, at)
-				})
-			})
-		})
-	})
+	t.at = now + penalty
+	t.acc = ts.classify(socket, home)
+	t.step(opDelay)
+	if home != socket {
+		t.sendStep(socket, home, ts.sys.MessageBytes)
+	}
+	t.memStep(home)
+	if home != socket {
+		t.sendStep(home, socket, ts.sys.DataBytes)
+	}
+	t.step(opDone)
+	t.run(now)
 }
 
 // classify maps a memory access to its Fig. 8c category.
@@ -1284,13 +1226,12 @@ func unfinishedPanic(running, phase int) {
 	panic(fmt.Sprintf("core: %d cores never finished window (phase %d)", running, phase))
 }
 
-// phaseBudgeter is the optional AccessSource extension that lets window
-// runs declare the per-core instruction budget of a phase up front, so
-// the source can record the phase's miss stream once and replay it for
-// every later window of the same phase (workload.Generator implements
-// it). Sources without it are simply drawn from directly.
-type phaseBudgeter interface {
-	SetPhaseBudget(budget uint64)
+// streamOverrun reports a core reading past its phase stream, which
+// the budget contract (TimedInstr ≤ PhaseInstr) rules out.
+//
+//starnuma:coldpath
+func streamOverrun(core int) {
+	panic(fmt.Sprintf("core: core %d replayed past its recorded phase stream (budget too small)", core))
 }
 
 // runWindow executes one checkpoint's timing simulation.
@@ -1298,11 +1239,9 @@ type phaseBudgeter interface {
 //starnuma:hotpath the step-C window timing simulation
 func runWindow(sys SystemConfig, cfg SimConfig, gen AccessSource,
 	chk Checkpoint, replicated []bool) windowStats {
-	if pb, ok := gen.(phaseBudgeter); ok {
-		pb.SetPhaseBudget(cfg.PhaseInstr)
-	}
-	ts := acquireTimingSystem(sys, cfg, gen, chk, replicated)
+	gen.SetPhaseBudget(cfg.PhaseInstr)
 	gen.ResetPhase(chk.Phase)
+	ts := acquireTimingSystem(sys, cfg, gen, chk, replicated)
 	ts.start(chk)
 	ts.eng.Run()
 	// Cores that never finished (possible only on malformed configs)

@@ -19,8 +19,10 @@ type fakeSource struct {
 	perSocket  int
 	pages      int
 	pageFor    func(core int) uint32
-	writeEvery int // every Nth access is a store (0 = never)
-	n          []int
+	writeEvery int   // every Nth access is a store (0 = never)
+	n          []int // per-core 1-based index of the access pageFor places
+	budget     uint64
+	stream     *workload.Stream
 }
 
 func newFakeSource(pages int, pageFor func(int) uint32) *fakeSource {
@@ -40,24 +42,33 @@ func newFakeSource(pages int, pageFor func(int) uint32) *fakeSource {
 	}
 }
 
-func (f *fakeSource) Next(core int) workload.Access {
-	f.n[core]++
-	write := f.writeEvery > 0 && f.n[core]%f.writeEvery == 0
-	// Stagger blocks per core so reads and writes of a block interleave
-	// across sockets (lockstep identical streams would never leave clean
-	// sharers for a write to invalidate).
-	return workload.Access{
-		Gap:   100,
-		Page:  f.pageFor(core),
-		Block: uint16((f.n[core] + 7*core) % workload.BlocksPerPage),
-		Write: write,
+func (f *fakeSource) SetPhaseBudget(b uint64) { f.budget = b }
+
+// ResetPhase builds each core's stream: gap-100 accesses up to the
+// budget, with blocks staggered per core so reads and writes of a block
+// interleave across sockets (lockstep identical streams would never
+// leave clean sharers for a write to invalidate).
+func (f *fakeSource) ResetPhase(int) {
+	s := &workload.Stream{Off: make([]int32, f.cores+1)}
+	for c := 0; c < f.cores; c++ {
+		s.Off[c] = int32(len(s.Gaps))
+		for n := 1; uint64(n-1)*100 < f.budget; n++ {
+			f.n[c] = n
+			s.Gaps = append(s.Gaps, 100)
+			s.Pages = append(s.Pages, f.pageFor(c))
+			s.Blocks = append(s.Blocks, uint16((n+7*c)%workload.BlocksPerPage))
+			s.Writes = append(s.Writes, f.writeEvery > 0 && n%f.writeEvery == 0)
+		}
 	}
+	s.Off[f.cores] = int32(len(s.Gaps))
+	f.stream = s
 }
-func (f *fakeSource) ResetPhase(int)      { f.n = make([]int, f.cores) }
-func (f *fakeSource) NumPages() int       { return f.pages }
-func (f *fakeSource) NumCores() int       { return f.cores }
-func (f *fakeSource) SocketOf(c int) int  { return c / f.perSocket }
-func (f *fakeSource) Spec() workload.Spec { return f.spec }
+func (f *fakeSource) Stream() *workload.Stream  { return f.stream }
+func (f *fakeSource) StreamSig() (string, bool) { return "", false }
+func (f *fakeSource) NumPages() int             { return f.pages }
+func (f *fakeSource) NumCores() int             { return f.cores }
+func (f *fakeSource) SocketOf(c int) int        { return c / f.perSocket }
+func (f *fakeSource) Spec() workload.Spec       { return f.spec }
 
 // windowSim is a minimal sim config for single-window tests.
 func windowSim() SimConfig {

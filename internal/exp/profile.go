@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"os"
+	"sort"
 
 	"starnuma/internal/attrib"
 )
@@ -10,12 +11,18 @@ import (
 // StallProfiles snapshots the stall-attribution profiles of the
 // runner's memoised results as a prof document. Runs without a profile
 // (attribution off, or recalled from an attribution-off cache entry)
-// are skipped; the document sorts by memo key so identical run sets
+// are skipped; runs are listed in memo-key order so identical run sets
 // encode byte-identically.
 func (r *Runner) StallProfiles() *attrib.Doc {
 	d := &attrib.Doc{Schema: attrib.DocSchema}
 	r.mu.Lock()
-	for k, res := range r.memo {
+	keys := make([]string, 0, len(r.memo))
+	for k := range r.memo {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		res := r.memo[k]
 		if res.Profile == nil {
 			continue
 		}
@@ -27,7 +34,6 @@ func (r *Runner) StallProfiles() *attrib.Doc {
 		})
 	}
 	r.mu.Unlock()
-	d.Sort()
 	return d
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
@@ -13,25 +14,31 @@ import (
 // the synthetic generators.
 //
 // One file per phase, in phase order. If the pipeline asks for more
-// phases than files exist, phases wrap around; if a core's stream is
-// exhausted within a phase, it also wraps (traces are treated as
-// stationary samples, like the paper's per-phase trace reuse).
+// phases than files exist, phases wrap around. Each file decodes into a
+// workload.Stream fitted to the phase budget: a core's stream is the
+// shortest prefix of its records, repeated end to end, whose gaps reach
+// the budget — longer files are cut, shorter ones wrap (traces are
+// treated as stationary samples, like the paper's per-phase trace
+// reuse).
 type Source struct {
 	spec           workload.Spec
 	paths          []string
 	sockets        int
 	coresPerSocket int
 	pages          int
+	budget         uint64
 
-	cur     int // currently loaded phase file index (-1 = none)
-	streams [][]workload.Access
-	idx     []int
+	cur    int              // currently loaded phase file index
+	raw    *workload.Stream // the loaded file's records, grouped per core
+	stream *workload.Stream // raw fitted to budget
 }
 
 // NewSource opens a replay source over the given per-phase trace files.
 // The spec supplies the timing parameters (IPC, MPKI, MLP) the trace
 // itself does not carry; its footprint is overridden by the trace
-// header. All files must agree with the system shape.
+// header. The first file is decoded and validated here; later files are
+// decoded when the pipeline reaches their phase, and a malformed one
+// makes ResetPhase panic with the same named error.
 func NewSource(spec workload.Spec, sockets, coresPerSocket int, paths []string) (*Source, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("trace: no trace files")
@@ -44,102 +51,163 @@ func NewSource(spec workload.Spec, sockets, coresPerSocket int, paths []string) 
 		paths:          paths,
 		sockets:        sockets,
 		coresPerSocket: coresPerSocket,
-		cur:            -1,
 	}
-	// Validate the first file and adopt its footprint.
-	h, err := s.readHeader(paths[0])
-	if err != nil {
-		return nil, err
-	}
-	if h.Cores != sockets*coresPerSocket {
-		return nil, fmt.Errorf("trace: file %s has %d cores, system needs %d",
-			paths[0], h.Cores, sockets*coresPerSocket)
-	}
-	s.pages = h.Pages
-	s.spec.FootprintPages = h.Pages
 	if err := s.load(0); err != nil {
 		return nil, err
 	}
+	s.spec.FootprintPages = s.pages
 	return s, nil
 }
 
-func (s *Source) readHeader(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, err
-	}
-	defer f.Close()
-	r, err := NewReader(f)
-	if err != nil {
-		return Header{}, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	return r.Header(), nil
-}
-
-// load reads phase file i into per-core streams.
+// load decodes phase file i into per-core record sequences, adopting
+// the file's footprint on the first load, and fits them to the budget.
+// Every record is validated against the system shape and footprint.
 func (s *Source) load(i int) error {
-	f, err := os.Open(s.paths[i])
+	path := s.paths[i]
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r, err := NewReader(f)
+	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("trace: %s: %w", s.paths[i], err)
+		return fmt.Errorf("trace: %s: %w", path, err)
 	}
 	h := r.Header()
-	if h.Cores != s.sockets*s.coresPerSocket || h.Pages != s.pages {
-		return fmt.Errorf("trace: %s shape (%d cores, %d pages) disagrees with %s",
-			s.paths[i], h.Cores, h.Pages, s.paths[0])
+	cores := s.NumCores()
+	if h.Cores != cores {
+		return fmt.Errorf("trace: file %s has %d cores, system needs %d", path, h.Cores, cores)
 	}
-	streams := make([][]workload.Access, h.Cores)
-	for {
-		rec, err := r.Read()
-		if err != nil {
-			break // io.EOF or truncation; partial final record dropped
-		}
-		if int(rec.Core) >= h.Cores || int(rec.Access.Page) >= s.pages {
-			return fmt.Errorf("trace: %s: record out of range: %+v", s.paths[i], rec)
-		}
-		streams[rec.Core] = append(streams[rec.Core], rec.Access)
+	if s.pages == 0 {
+		s.pages = h.Pages
+	} else if h.Pages != s.pages {
+		return fmt.Errorf("trace: file %s has %d pages, %s has %d", path, h.Pages, s.paths[0], s.pages)
 	}
-	for c, st := range streams {
-		if len(st) == 0 {
-			return fmt.Errorf("trace: %s: core %d has no records", s.paths[i], c)
+	recs := data[h.size():]
+	n := len(recs) / recordSize // a truncated final record is dropped
+
+	// Group the interleaved records per core by counting sort.
+	raw := &workload.Stream{
+		Off:    make([]int32, cores+1),
+		Gaps:   make([]uint32, n),
+		Pages:  make([]uint32, n),
+		Blocks: make([]uint16, n),
+		Writes: make([]bool, n),
+	}
+	for k := 0; k < n; k++ {
+		c := int(decodeRecord(recs[k*recordSize:]).Core)
+		if c >= cores {
+			return fmt.Errorf("trace: %s: record %d: core %d out of range (%d cores)", path, k, c, cores)
+		}
+		raw.Off[c+1]++
+	}
+	for c := 0; c < cores; c++ {
+		if raw.Off[c+1] == 0 {
+			return fmt.Errorf("trace: %s: core %d has no records", path, c)
+		}
+		raw.Off[c+1] += raw.Off[c]
+	}
+	next := append([]int32(nil), raw.Off[:cores]...)
+	gapSum := make([]uint64, cores)
+	for k := 0; k < n; k++ {
+		rec := decodeRecord(recs[k*recordSize:])
+		c, a := rec.Core, rec.Access
+		if int(a.Page) >= s.pages {
+			return fmt.Errorf("trace: %s: core %d: record %d: page %d out of range (%d pages)", path, c, k, a.Page, s.pages)
+		}
+		if a.Block >= workload.BlocksPerPage {
+			return fmt.Errorf("trace: %s: core %d: record %d: block %d out of range (%d blocks per page)",
+				path, c, k, a.Block, workload.BlocksPerPage)
+		}
+		j := next[c]
+		next[c]++
+		raw.Gaps[j], raw.Pages[j], raw.Blocks[j], raw.Writes[j] = a.Gap, a.Page, a.Block, a.Write
+		gapSum[c] += uint64(a.Gap)
+	}
+	for c, sum := range gapSum {
+		if sum == 0 {
+			return fmt.Errorf("trace: %s: core %d: every record has gap 0, so no instruction budget is ever reached", path, c)
 		}
 	}
-	s.streams = streams
-	s.idx = make([]int, h.Cores)
-	s.cur = i
+	s.cur, s.raw = i, raw
+	s.stream = fit(raw, s.budget)
 	return nil
 }
 
-// Next implements core.AccessSource.
-func (s *Source) Next(core int) workload.Access {
-	st := s.streams[core]
-	a := st[s.idx[core]]
-	s.idx[core]++
-	if s.idx[core] >= len(st) {
-		s.idx[core] = 0 // wrap: treat the trace as a stationary sample
+// fit returns raw cut or wrapped to budget: each core's shortest prefix
+// of its records, repeated end to end, whose gaps sum to at least
+// budget. A zero budget, or a file recorded at exactly budget, returns
+// raw itself.
+func fit(raw *workload.Stream, budget uint64) *workload.Stream {
+	if budget == 0 {
+		return raw
 	}
-	return a
+	cores := len(raw.Off) - 1
+	lens := make([]int32, cores)
+	var total int32
+	same := true
+	for c := 0; c < cores; c++ {
+		lo, hi := raw.Off[c], raw.Off[c+1]
+		var cum uint64
+		for i := lo; cum < budget; lens[c]++ {
+			cum += uint64(raw.Gaps[i])
+			if i++; i == hi {
+				i = lo
+			}
+		}
+		total += lens[c]
+		same = same && lens[c] == hi-lo
+	}
+	if same {
+		return raw
+	}
+	out := &workload.Stream{
+		Off:    make([]int32, cores+1),
+		Gaps:   make([]uint32, total),
+		Pages:  make([]uint32, total),
+		Blocks: make([]uint16, total),
+		Writes: make([]bool, total),
+	}
+	for c := 0; c < cores; c++ {
+		lo, hi := raw.Off[c], raw.Off[c+1]
+		at := out.Off[c]
+		out.Off[c+1] = at + lens[c]
+		for at < out.Off[c+1] {
+			k := copy(out.Gaps[at:out.Off[c+1]], raw.Gaps[lo:hi])
+			end := at + int32(k)
+			copy(out.Pages[at:end], raw.Pages[lo:hi])
+			copy(out.Blocks[at:end], raw.Blocks[lo:hi])
+			copy(out.Writes[at:end], raw.Writes[lo:hi])
+			at = end
+		}
+	}
+	return out
 }
 
-// ResetPhase implements core.AccessSource.
-func (s *Source) ResetPhase(phase int) {
-	i := phase % len(s.paths)
-	if i != s.cur {
-		if err := s.load(i); err != nil {
-			// Files validated at construction; a failure here means the
-			// file changed underneath us — fail loudly.
-			panic(fmt.Sprintf("trace: reloading phase %d: %v", phase, err))
-		}
-		return
-	}
-	for c := range s.idx {
-		s.idx[c] = 0
+// SetPhaseBudget implements core.AccessSource: later streams are fitted
+// to budget instructions per core.
+func (s *Source) SetPhaseBudget(budget uint64) {
+	if budget != s.budget {
+		s.budget = budget
+		s.stream = fit(s.raw, budget)
 	}
 }
+
+// ResetPhase implements core.AccessSource: it decodes the phase's file
+// unless it is already loaded.
+func (s *Source) ResetPhase(phase int) {
+	if i := phase % len(s.paths); i != s.cur {
+		if err := s.load(i); err != nil {
+			panic(fmt.Sprintf("trace: loading phase %d: %v", phase, err))
+		}
+	}
+}
+
+// Stream implements core.AccessSource.
+func (s *Source) Stream() *workload.Stream { return s.stream }
+
+// StreamSig implements core.AccessSource. Trace streams carry no
+// identity, so they never enter the simulator's ingest memo.
+func (s *Source) StreamSig() (string, bool) { return "", false }
 
 // NumPages implements core.AccessSource.
 func (s *Source) NumPages() int { return s.pages }

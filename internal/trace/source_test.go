@@ -3,6 +3,8 @@ package trace
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"starnuma/internal/workload"
@@ -23,6 +25,30 @@ func dumpTestTrace(t *testing.T, dir string, gen *workload.Generator, phase int,
 	return path
 }
 
+// writeTrace writes a hand-built trace file and returns its path.
+func writeTrace(t *testing.T, h Header, recs []Record) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "crafted.sntr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := NewWriter(f, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func testGen(t *testing.T) *workload.Generator {
 	t.Helper()
 	spec, err := workload.ByName("CC", 0.05)
@@ -34,6 +60,19 @@ func testGen(t *testing.T) *workload.Generator {
 		t.Fatal(err)
 	}
 	return gen
+}
+
+// genStream returns the generator's recorded stream of phase at budget.
+func genStream(gen *workload.Generator, phase int, budget uint64) *workload.Stream {
+	gen.SetPhaseBudget(budget)
+	gen.ResetPhase(phase)
+	return gen.Stream()
+}
+
+// access returns core c's k-th access of s.
+func access(s *workload.Stream, c, k int) workload.Access {
+	i := int(s.Off[c]) + k
+	return workload.Access{Gap: s.Gaps[i], Page: s.Pages[i], Block: s.Blocks[i], Write: s.Writes[i]}
 }
 
 func TestSourceReplaysDump(t *testing.T) {
@@ -54,17 +93,16 @@ func TestSourceReplaysDump(t *testing.T) {
 	if src.Spec().FootprintPages != gen.NumPages() {
 		t.Fatal("spec footprint not adopted from header")
 	}
+	if _, ok := src.StreamSig(); ok {
+		t.Fatal("trace streams must stay out of the ingest memo")
+	}
 
-	// Replay must byte-match the generator for the dumped prefix.
-	gen.ResetPhase(0)
+	// Replay at the dump's budget must byte-match the generator's
+	// recorded stream.
+	src.SetPhaseBudget(3000)
 	src.ResetPhase(0)
-	for i := 0; i < 500; i++ {
-		core := i % 64
-		want := gen.Next(core)
-		got := src.Next(core)
-		if got != want {
-			t.Fatalf("record %d: got %+v want %+v", i, got, want)
-		}
+	if !reflect.DeepEqual(src.Stream(), genStream(gen, 0, 3000)) {
+		t.Fatal("decoded stream differs from the generator's recorded stream")
 	}
 }
 
@@ -75,11 +113,28 @@ func TestSourceResetRewinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := src.Next(0)
-	src.Next(0)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.SetPhaseBudget(2000)
 	src.ResetPhase(0)
-	if got := src.Next(0); got != first {
-		t.Fatalf("reset did not rewind: %+v vs %+v", got, first)
+	s := src.Stream()
+	if got := access(s, int(first.Core), 0); got != first.Access {
+		t.Fatalf("stream does not start at the file's first record: %+v vs %+v", got, first.Access)
+	}
+	src.ResetPhase(0)
+	if !reflect.DeepEqual(src.Stream(), s) {
+		t.Fatal("resetting the loaded phase changed its stream")
 	}
 }
 
@@ -90,16 +145,48 @@ func TestSourceWrapsExhaustedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := src.Next(0)
-	// Drain far past the stream length; must not panic and must wrap.
-	seenFirstAgain := false
-	for i := 0; i < 10000; i++ {
-		if src.Next(0) == first {
-			seenFirstAgain = true
-		}
+	src.ResetPhase(0)
+	raw := src.Stream() // budget 0: the file's records as they are
+	rawLen := int(raw.Off[1] - raw.Off[0])
+	rec := make([]workload.Access, rawLen)
+	for k := range rec {
+		rec[k] = access(raw, 0, k)
 	}
-	if !seenFirstAgain {
-		t.Fatal("stream did not wrap")
+
+	const budget = 10000
+	src.SetPhaseBudget(budget)
+	s := src.Stream()
+	n := int(s.Off[1] - s.Off[0])
+	if n <= rawLen {
+		t.Fatalf("stream of %d accesses did not wrap %d records", n, rawLen)
+	}
+	var cum uint64
+	for k := 0; k < n; k++ {
+		a := access(s, 0, k)
+		if a != rec[k%rawLen] {
+			t.Fatalf("access %d: %+v, want record %d %+v", k, a, k%rawLen, rec[k%rawLen])
+		}
+		if cum >= budget {
+			t.Fatalf("access %d lies past the budget", k)
+		}
+		cum += uint64(a.Gap)
+	}
+	if cum < budget {
+		t.Fatalf("stream ends at %d instructions, before the budget", cum)
+	}
+}
+
+func TestSourceTruncatesLongFile(t *testing.T) {
+	gen := testGen(t)
+	path := dumpTestTrace(t, t.TempDir(), gen, 0, 4000)
+	src, err := NewSource(gen.Spec(), 16, 4, []string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.SetPhaseBudget(1000)
+	src.ResetPhase(0)
+	if !reflect.DeepEqual(src.Stream(), genStream(gen, 0, 1000)) {
+		t.Fatal("a file longer than the budget must cut to the generator's stream at that budget")
 	}
 }
 
@@ -122,12 +209,16 @@ func TestSourcePhaseWrapAcrossFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	src.SetPhaseBudget(1000)
 	src.ResetPhase(0)
-	a0 := src.Next(3)
+	s0 := src.Stream()
 	src.ResetPhase(1)
+	if reflect.DeepEqual(src.Stream(), s0) {
+		t.Fatal("phase 1 replayed phase 0's file")
+	}
 	src.ResetPhase(2) // wraps to file 0
-	if got := src.Next(3); got != a0 {
-		t.Fatalf("phase wrap broken: %+v vs %+v", got, a0)
+	if !reflect.DeepEqual(src.Stream(), s0) {
+		t.Fatal("phase wrap broken: phase 2 differs from phase 0")
 	}
 }
 
@@ -146,4 +237,49 @@ func TestSourceValidation(t *testing.T) {
 	if _, err := NewSource(gen.Spec(), 16, 4, []string{"/nonexistent"}); err == nil {
 		t.Fatal("accepted missing file")
 	}
+}
+
+// craftedRecords gives each of cores cores one valid access.
+func craftedRecords(cores int) []Record {
+	recs := make([]Record, cores)
+	for c := range recs {
+		recs[c] = Record{Core: uint16(c), Access: workload.Access{Gap: 10, Page: uint32(c)}}
+	}
+	return recs
+}
+
+// wantNamedError checks that err names the file, the core and the field.
+func wantNamedError(t *testing.T, err error, path string, parts ...string) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("malformed trace accepted")
+	}
+	for _, p := range append([]string{path}, parts...) {
+		if !strings.Contains(err.Error(), p) {
+			t.Fatalf("error %q does not name %q", err, p)
+		}
+	}
+}
+
+func TestSourceRejectsBlockOutOfRange(t *testing.T) {
+	// A block index past the page would alias into the next page, or
+	// index past the directory on the footprint's last page.
+	const pages = 64
+	recs := craftedRecords(64)
+	recs[5].Access.Page = pages - 1
+	recs[5].Access.Block = workload.BlocksPerPage
+	path := writeTrace(t, Header{Workload: "crafted", Cores: 64, Pages: pages}, recs)
+	_, err := NewSource(workload.Spec{Name: "crafted"}, 16, 4, []string{path})
+	wantNamedError(t, err, path, "core 5", "block 64")
+}
+
+func TestSourceRejectsZeroGapCore(t *testing.T) {
+	// A core whose gaps never advance its instruction count would never
+	// reach any phase budget.
+	recs := craftedRecords(64)
+	recs[3].Access.Gap = 0
+	recs = append(recs, Record{Core: 3, Access: workload.Access{Gap: 0, Page: 1}})
+	path := writeTrace(t, Header{Workload: "crafted", Cores: 64, Pages: 64}, recs)
+	_, err := NewSource(workload.Spec{Name: "crafted"}, 16, 4, []string{path})
+	wantNamedError(t, err, path, "core 3", "gap")
 }

@@ -4,8 +4,9 @@
 // The paper records per-thread instruction and memory traces with a
 // Pin-based tracer and replays them in steps B and C. Our generators are
 // deterministic, so traces normally need not be materialised — but the
-// format lets users persist a stream (cmd/tracegen), inspect it, or feed
-// externally produced traces through the same pipeline.
+// format is the persisted form of a recorded workload.Stream: users can
+// dump one (cmd/tracegen), inspect it, or feed externally produced
+// traces through the same pipeline (Source).
 //
 // Layout: a fixed header followed by fixed-size little-endian records.
 //
@@ -34,6 +35,9 @@ const Version = 1
 
 const recordSize = 2 + 4 + 4 + 2 + 1
 
+// headerFields is the size of the fixed header fields after the magic.
+const headerFields = 14
+
 // Header describes a trace stream.
 type Header struct {
 	Workload string
@@ -41,6 +45,9 @@ type Header struct {
 	Pages    int
 	Phase    int
 }
+
+// size is the encoded header length.
+func (h Header) size() int { return len(Magic) + headerFields + len(h.Workload) }
 
 // Record is one traced access, tagged with its core.
 type Record struct {
@@ -70,7 +77,7 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	if _, err := bw.WriteString(Magic); err != nil {
 		return nil, err
 	}
-	var buf [14]byte
+	var buf [headerFields]byte
 	binary.LittleEndian.PutUint16(buf[0:], Version)
 	binary.LittleEndian.PutUint16(buf[2:], uint16(h.Cores))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(h.Pages))
@@ -133,7 +140,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if string(magic) != Magic {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	var buf [14]byte
+	var buf [headerFields]byte
 	if _, err := io.ReadFull(br, buf[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
@@ -166,7 +173,12 @@ func (r *Reader) Read() (Record, error) {
 		}
 		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
 	}
-	rec := Record{
+	return decodeRecord(buf[:]), nil
+}
+
+// decodeRecord decodes the record at the start of buf.
+func decodeRecord(buf []byte) Record {
+	return Record{
 		Core: binary.LittleEndian.Uint16(buf[0:]),
 		Access: workload.Access{
 			Gap:   binary.LittleEndian.Uint32(buf[2:]),
@@ -175,7 +187,6 @@ func (r *Reader) Read() (Record, error) {
 			Write: buf[12]&1 != 0,
 		},
 	}
-	return rec, nil
 }
 
 // DumpPhase writes one phase of a generator's streams (all cores,

@@ -47,13 +47,11 @@ type Generator struct {
 	// for drifting chunks (Spec.DriftFrac).
 	phase int
 
-	// Stream replay state (see stream.go). With a non-zero budget,
-	// ResetPhase binds stream to the recorded phase stream and Next
-	// replays it via per-core cursors instead of drawing.
+	// Recorded-stream state (see stream.go). With a non-zero budget,
+	// ResetPhase binds stream to the recorded phase stream.
 	budget uint64
 	sig    string
-	stream *phaseStream
-	cursor []int32
+	stream *Stream
 }
 
 // NewGenerator builds a generator for spec on a system of
@@ -314,20 +312,25 @@ func (g *Generator) buildClassWeights() {
 // are stationary across phases (the paper observes sharing patterns are
 // stable over time, §V-B); distinct phases still get decorrelated
 // streams. With a non-zero DriftFrac, drifting chunks re-draw their
-// sharer sets, so the per-socket page lists are rebuilt.
+// sharer sets, so the per-socket page lists are rebuilt. With a phase
+// budget declared, it also binds the phase's recorded Stream.
 func (g *Generator) ResetPhase(phase int) {
 	if g.spec.DriftFrac > 0 && phase != g.phase {
 		g.phase = phase
 		g.assignPages()
 		g.buildClassWeights()
 	}
+	g.reseed(phase)
+	g.stream = nil
+	if g.budget > 0 {
+		g.stream = g.loadStream(phase)
+		g.reseed(phase) // recording consumed the RNG streams
+	}
+}
+
+func (g *Generator) reseed(phase int) {
 	for core := range g.rngs {
 		g.rngs[core] = splitmix64{state: mix(g.spec.Seed, uint64(core)+1, uint64(phase)+1)}
-	}
-	if g.budget > 0 {
-		g.loadStream(phase)
-	} else {
-		g.stream = nil
 	}
 }
 
@@ -335,28 +338,12 @@ func (g *Generator) ResetPhase(phase int) {
 // cannot stall a phase.
 const maxGap = 1 << 16
 
-// Next returns core's next LLC miss: a pure array read when a recorded
-// phase stream is bound (see SetPhaseBudget), a fresh draw otherwise.
-// Both paths yield bit-identical streams — replay is a recording of the
-// very draws generate would make.
+// Next draws core's next LLC miss from its RNG stream. It is the draw
+// primitive behind stream recording; the simulator itself reads the
+// recorded Stream.
 //
-//starnuma:hotpath one call per simulated LLC miss, in both step B and step C
+//starnuma:hotpath one call per recorded access
 func (g *Generator) Next(core int) Access {
-	if s := g.stream; s != nil {
-		i := g.cursor[core]
-		if i >= s.off[core+1] {
-			streamOverrun(core)
-		}
-		g.cursor[core] = i + 1
-		return Access{Gap: s.gaps[i], Page: s.pages[i], Block: s.blocks[i], Write: s.writes[i]}
-	}
-	return g.generate(core)
-}
-
-// generate draws core's next LLC miss from its RNG stream.
-//
-//starnuma:hotpath draw path when no stream is bound, and stream recording
-func (g *Generator) generate(core int) Access {
 	rng := &g.rngs[core]
 	socket := g.SocketOf(core)
 

@@ -370,3 +370,46 @@ func TestDriftFracValidation(t *testing.T) {
 		t.Fatal("DriftFrac > 1 accepted")
 	}
 }
+
+// TestStreamMatchesDraws pins the recording contract: each core's
+// recorded stream is exactly its Next draws up to and including the
+// first one that reaches the budget, and binding a stream leaves Next
+// drawing the phase from its start.
+func TestStreamMatchesDraws(t *testing.T) {
+	const budget = 20_000
+	rec := mustGen(t, "TPCC", 16, 4)
+	rec.SetPhaseBudget(budget)
+	rec.ResetPhase(2)
+	s := rec.Stream()
+	if s == nil || len(s.Off) != rec.NumCores()+1 {
+		t.Fatal("no stream bound for a declared budget")
+	}
+	draw := mustGen(t, "TPCC", 16, 4)
+	draw.ResetPhase(2)
+	for c := 0; c < rec.NumCores(); c++ {
+		var cum uint64
+		i := s.Off[c]
+		for ; cum < budget; i++ {
+			want := draw.Next(c)
+			if i >= s.Off[c+1] {
+				t.Fatalf("core %d: stream ends at %d instructions, before the budget", c, cum)
+			}
+			got := Access{Gap: s.Gaps[i], Page: s.Pages[i], Block: s.Blocks[i], Write: s.Writes[i]}
+			if got != want {
+				t.Fatalf("core %d access %d: %+v, want %+v", c, i-s.Off[c], got, want)
+			}
+			if a := rec.Next(c); a != want {
+				t.Fatalf("core %d: Next after binding drew %+v, want %+v", c, a, want)
+			}
+			cum += uint64(want.Gap)
+		}
+		if i != s.Off[c+1] {
+			t.Fatalf("core %d: stream runs %d accesses past the budget", c, s.Off[c+1]-i)
+		}
+	}
+	rec.SetPhaseBudget(0)
+	rec.ResetPhase(2)
+	if rec.Stream() != nil {
+		t.Fatal("a zero budget must unbind the stream")
+	}
+}

@@ -23,20 +23,23 @@ import (
 // shape), and ResetPhase already rebuilds any phase-dependent drift
 // state, so a pooled generator is indistinguishable from a fresh one.
 
-// phaseStream is one phase's recorded miss stream for every core, in
+// Stream is one phase's recorded miss stream for every core, in
 // struct-of-arrays layout: core c's accesses live at indices
-// [off[c], off[c+1]) of the four parallel arrays.
-type phaseStream struct {
-	off    []int32
-	gaps   []uint32
-	pages  []uint32
-	blocks []uint16
-	writes []bool
+// [Off[c], Off[c+1]) of the four parallel arrays. It is the one
+// representation of an access stream that steps B and C read; SNTR
+// trace files (internal/trace) are its persisted form. Consumers treat
+// it as read-only: recorded streams are shared through the cache.
+type Stream struct {
+	Off    []int32
+	Gaps   []uint32
+	Pages  []uint32
+	Blocks []uint16
+	Writes []bool
 }
 
-func (s *phaseStream) bytes() int64 {
-	return int64(len(s.off))*4 + int64(len(s.gaps))*4 +
-		int64(len(s.pages))*4 + int64(len(s.blocks))*2 + int64(len(s.writes))
+func (s *Stream) bytes() int64 {
+	return int64(len(s.Off))*4 + int64(len(s.Gaps))*4 +
+		int64(len(s.Pages))*4 + int64(len(s.Blocks))*2 + int64(len(s.Writes))
 }
 
 // streamKey identifies one cached stream. The sig string folds in the
@@ -66,12 +69,12 @@ var streamCache struct {
 }
 
 type streamEntry struct {
-	s       *phaseStream
+	s       *Stream
 	lastUse int64
 }
 
 // lookupStream returns the cached stream for key, or nil.
-func lookupStream(key streamKey) *phaseStream {
+func lookupStream(key streamKey) *Stream {
 	c := &streamCache
 	c.Lock()
 	defer c.Unlock()
@@ -87,7 +90,7 @@ func lookupStream(key streamKey) *phaseStream {
 // storeStream inserts s, evicting least-recently-used entries to stay
 // under the byte cap. Streams larger than the cap are simply not cached
 // (the caller keeps its reference either way).
-func storeStream(key streamKey, s *phaseStream) {
+func storeStream(key streamKey, s *Stream) {
 	sz := s.bytes()
 	if sz > streamCacheCap {
 		return
@@ -128,11 +131,8 @@ func streamSig(spec Spec, sockets, coresPerSocket int, budget uint64) string {
 // instructions worth of accesses per phase (each Access consumes Gap
 // instructions; consumers stop at or before the first access that
 // reaches the budget). A non-zero budget makes the next ResetPhase
-// record or reuse a cached stream and switches Next to pure replay.
-// Zero disables recording (the default, and the step-A analysis mode).
-//
-// The budget must cover the consumer's real consumption: replaying past
-// the recorded stream panics rather than silently decorrelating.
+// record or reuse a cached stream, which Stream then returns. Zero
+// disables recording (the default, and the step-A analysis mode).
 func (g *Generator) SetPhaseBudget(budget uint64) {
 	if budget == g.budget {
 		return
@@ -145,68 +145,63 @@ func (g *Generator) SetPhaseBudget(budget uint64) {
 	g.stream = nil
 }
 
-// loadStream points the generator at the cached stream for phase,
-// recording it on a cache miss, and rewinds every core's cursor.
-func (g *Generator) loadStream(phase int) {
+// loadStream returns the cached stream for phase, recording it on a
+// cache miss.
+func (g *Generator) loadStream(phase int) *Stream {
 	key := streamKey{sig: g.sig, phase: phase}
 	s := lookupStream(key)
 	if s == nil {
 		s = g.recordStream()
 		storeStream(key, s)
 	}
-	g.stream = s
-	if g.cursor == nil {
-		g.cursor = make([]int32, len(g.rngs))
-	}
-	copy(g.cursor, s.off[:len(g.rngs)])
+	return s
 }
 
-// recordStream generates every core's stream for the current phase
-// until the per-core cumulative gap reaches the budget, capturing it in
-// struct-of-arrays form. It consumes the per-core RNG streams, which is
-// safe because replay mode never touches them again this phase.
-func (g *Generator) recordStream() *phaseStream {
+// recordStream draws every core's stream for the current phase until
+// the per-core cumulative gap reaches the budget. It consumes the
+// per-core RNG streams; ResetPhase re-seeds them afterwards.
+func (g *Generator) recordStream() *Stream {
 	cores := len(g.rngs)
-	s := &phaseStream{off: make([]int32, cores+1)}
+	s := &Stream{Off: make([]int32, cores+1)}
 	for core := 0; core < cores; core++ {
-		s.off[core] = int32(len(s.gaps))
+		s.Off[core] = int32(len(s.Gaps))
 		var cum uint64
 		for cum < g.budget {
-			a := g.generate(core)
+			a := g.Next(core)
 			cum += uint64(a.Gap)
-			s.gaps = append(s.gaps, a.Gap)
-			s.pages = append(s.pages, a.Page)
-			s.blocks = append(s.blocks, a.Block)
-			s.writes = append(s.writes, a.Write)
+			s.Gaps = append(s.Gaps, a.Gap)
+			s.Pages = append(s.Pages, a.Page)
+			s.Blocks = append(s.Blocks, a.Block)
+			s.Writes = append(s.Writes, a.Write)
 		}
 		if core == 0 && cores > 1 {
 			// Cores draw from the same mixture, so core 0's access count
 			// predicts the total well; pre-growing here avoids repeated
 			// multi-MB reallocation copies as the remaining cores append.
-			want := len(s.gaps) * cores * 9 / 8
-			s.gaps = append(make([]uint32, 0, want), s.gaps...)
-			s.pages = append(make([]uint32, 0, want), s.pages...)
-			s.blocks = append(make([]uint16, 0, want), s.blocks...)
-			s.writes = append(make([]bool, 0, want), s.writes...)
+			want := len(s.Gaps) * cores * 9 / 8
+			s.Gaps = append(make([]uint32, 0, want), s.Gaps...)
+			s.Pages = append(make([]uint32, 0, want), s.Pages...)
+			s.Blocks = append(make([]uint16, 0, want), s.Blocks...)
+			s.Writes = append(make([]bool, 0, want), s.Writes...)
 		}
 	}
-	s.off[cores] = int32(len(s.gaps))
+	s.Off[cores] = int32(len(s.Gaps))
 	return s
 }
 
-// ReplayArrays exposes the recorded stream bound by the last ResetPhase
-// for bulk replay: core c's accesses are pages[off[c]:off[c+1]] with
-// parallel writes flags. It returns ok=false unless a stream is bound
-// and was recorded at exactly the requested budget — the caller's
-// consumption contract (one access per round until the per-core budget
-// is crossed) only matches the recorded lengths at equal budgets.
-// Callers must treat the arrays as read-only.
+// Stream returns the phase stream bound by the last ResetPhase, or nil
+// when no phase budget is declared.
+func (g *Generator) Stream() *Stream { return g.stream }
+
+// ReplayArrays returns the bound stream's offsets, pages and write
+// flags, with ok=false unless a stream is bound and was recorded at
+// exactly budget. Callers must treat the arrays as read-only.
 func (g *Generator) ReplayArrays(budget uint64) (off []int32, pages []uint32, writes []bool, ok bool) {
 	s := g.stream
 	if s == nil || g.budget != budget {
 		return nil, nil, nil, false
 	}
-	return s.off, s.pages, s.writes, true
+	return s.Off, s.Pages, s.Writes, true
 }
 
 // StreamSig returns the identity of the recorded phase streams — the
@@ -216,11 +211,6 @@ func (g *Generator) ReplayArrays(budget uint64) (off []int32, pages []uint32, wr
 // for every phase, which is what step B's ingest memo keys on.
 func (g *Generator) StreamSig() (sig string, ok bool) {
 	return g.sig, g.sig != ""
-}
-
-//starnuma:coldpath only on replay overrun, which is a consumer bug
-func streamOverrun(core int) {
-	panic(fmt.Sprintf("workload: core %d replayed past its recorded phase stream (budget too small)", core))
 }
 
 // generatorPools recycles Generators per (spec, shape) signature so
