@@ -1,4 +1,4 @@
-// Command benchgate compares a fresh `expall -benchjson` report against
+// Command benchgate compares a fresh `starnuma -benchjson` report against
 // a committed baseline and fails when step-C simulation throughput
 // (windows per second) regressed beyond tolerance.
 //
@@ -37,7 +37,7 @@ import (
 	"os"
 )
 
-// report is the subset of expall's -benchjson document the gate reads.
+// report is the subset of the starnuma -benchjson document the gate reads.
 type report struct {
 	SuiteSeconds  float64      `json:"suite_seconds"`
 	WindowsDone   int64        `json:"windows_done"`

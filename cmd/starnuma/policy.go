@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"starnuma/internal/migrate"
 )
@@ -20,10 +19,12 @@ e.g. -policy 'starnuma:{"hi_start":64}'.
 // migrate registry — the same source of truth -policy validation, the
 // scenario DSL and the policysweep tournament use.
 func policyMain(args []string) int {
-	if len(args) == 0 || args[0] != "list" {
-		fmt.Fprint(os.Stderr, policyUsage)
-		return exitUsage
-	}
+	return dispatch("policy", policyUsage, args, map[string]func([]string) int{
+		"list": policyList,
+	})
+}
+
+func policyList([]string) int {
 	for _, d := range migrate.Policies() {
 		fmt.Printf("%-18s %s\n", d.Name, d.Doc)
 		for _, p := range d.Params {

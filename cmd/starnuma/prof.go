@@ -6,61 +6,47 @@ import (
 	"os"
 
 	"starnuma/internal/attrib"
+	"starnuma/internal/exp"
 )
 
-const profUsage = `usage: starnuma prof <command> [flags] <profiles.json> [b.json]
+const profUsage = `usage: starnuma prof <command> [flags] <manifest.json> [b.json]
 
 Commands:
   report  per-run stall breakdown by category (and socket)
-  diff    category share shift between two documents or two groups
+  diff    category share shift between two manifests or two groups
   flame   folded stacks (flamegraph.pl format) or speedscope JSON
 
 Flags:
-  report: [-sockets] [-require] profiles.json
+  report: [-sockets] [-require] manifest.json
       -sockets   also print the per-socket stall split
       -require   exit 3 unless every profile conserves stall time exactly
   diff:   [-a substr] [-b substr] a.json [b.json]
       -a/-b      group runs by key/workload/policy substring; with one
                  file both groups come from it, with two files -a
                  filters the first and -b the second
-  flame:  [-speedscope out.json] profiles.json
+  flame:  [-speedscope out.json] manifest.json
       -speedscope  write a speedscope sampled profile to this file
                    instead of printing folded stacks
 
-Profile documents come from any experiment run with -attrib, e.g.
-starnuma -exp fig8a -quick -attrib profiles.json.
+Stall profiles ride in the run manifest of any experiment run with
+-metrics, e.g. starnuma -exp fig8a -quick -metrics manifest.json. Result
+cache entries and bare results with a profile are read too.
 `
 
-// profMain implements the `starnuma prof` subcommands over stall
-// attribution documents written by -attrib (internal/attrib).
+// profMain implements the `starnuma prof` subcommands over the stall
+// attribution profiles (internal/attrib) carried by run manifests.
 func profMain(args []string) int {
-	if len(args) == 0 || args[0] == "-h" || args[0] == "-help" || args[0] == "help" {
-		fmt.Fprint(os.Stderr, profUsage)
-		if len(args) == 0 {
-			return exitUsage
-		}
-		return exitOK
-	}
-	switch args[0] {
-	case "report":
-		return profReport(args[1:])
-	case "diff":
-		return profDiff(args[1:])
-	case "flame":
-		return profFlame(args[1:])
-	default:
-		fmt.Fprintf(os.Stderr, "starnuma prof: unknown command %q\n%s", args[0], profUsage)
-		return exitUsage
-	}
+	return dispatch("prof", profUsage, args, map[string]func([]string) int{
+		"report": profReport,
+		"diff":   profDiff,
+		"flame":  profFlame,
+	})
 }
 
-// loadProfDoc reads and validates one stall-profile document.
-func loadProfDoc(path string) (*attrib.Doc, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return attrib.DecodeDoc(data)
+// loadProfiles reads the labelled stall profiles of one file.
+func loadProfiles(path string) ([]attrib.Run, bool) {
+	runs, ok := loadRuns("prof", path)
+	return exp.Profiles(runs), ok
 }
 
 func profReport(args []string) int {
@@ -74,21 +60,20 @@ func profReport(args []string) int {
 		fmt.Fprint(os.Stderr, profUsage)
 		return exitUsage
 	}
-	d, err := loadProfDoc(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
+	runs, ok := loadProfiles(fs.Arg(0))
+	if !ok {
 		return exitRuntime
 	}
 	code := exitOK
 	if *require {
-		for i := range d.Runs {
-			if err := d.Runs[i].Profile.CheckConservation(); err != nil {
-				fmt.Fprintf(os.Stderr, "starnuma prof: run %s: %v\n", d.Runs[i].Key, err)
+		for _, r := range runs {
+			if err := r.Profile.CheckConservation(); err != nil {
+				fmt.Fprintf(os.Stderr, "starnuma prof: run %s: %v\n", r.Key, err)
 				code = exitAssertion
 			}
 		}
 	}
-	fmt.Print(attrib.RenderReport(d, *sockets))
+	fmt.Print(attrib.RenderReport(runs, *sockets))
 	return code
 }
 
@@ -103,22 +88,21 @@ func profDiff(args []string) int {
 		fmt.Fprint(os.Stderr, profUsage)
 		return exitUsage
 	}
-	da, err := loadProfDoc(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
+	if fs.NArg() == 1 && *aSub == "" && *bSub == "" {
+		fmt.Fprintln(os.Stderr, "starnuma prof diff: one manifest needs -a and/or -b to form two groups")
+		return exitUsage
+	}
+	ra, ok := loadProfiles(fs.Arg(0))
+	if !ok {
 		return exitRuntime
 	}
-	db := da
+	rb := ra
 	labelA, labelB := fs.Arg(0), fs.Arg(0)
 	if fs.NArg() == 2 {
-		if db, err = loadProfDoc(fs.Arg(1)); err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
+		if rb, ok = loadProfiles(fs.Arg(1)); !ok {
 			return exitRuntime
 		}
 		labelB = fs.Arg(1)
-	} else if *aSub == "" && *bSub == "" {
-		fmt.Fprintln(os.Stderr, "starnuma prof diff: one document needs -a and/or -b to form two groups")
-		return exitUsage
 	}
 	if *aSub != "" {
 		labelA += ":" + *aSub
@@ -126,8 +110,8 @@ func profDiff(args []string) int {
 	if *bSub != "" {
 		labelB += ":" + *bSub
 	}
-	ta, runsA, skipA := da.GroupTotals(*aSub)
-	tb, runsB, skipB := db.GroupTotals(*bSub)
+	ta, runsA, skipA := attrib.GroupTotals(ra, *aSub)
+	tb, runsB, skipB := attrib.GroupTotals(rb, *bSub)
 	if runsA == 0 || runsB == 0 {
 		fmt.Fprintf(os.Stderr, "starnuma prof diff: empty group (a: %d runs, b: %d runs)\n", runsA, runsB)
 		return exitRuntime
@@ -149,22 +133,21 @@ func profFlame(args []string) int {
 		fmt.Fprint(os.Stderr, profUsage)
 		return exitUsage
 	}
-	d, err := loadProfDoc(fs.Arg(0))
+	runs, ok := loadProfiles(fs.Arg(0))
+	if !ok {
+		return exitRuntime
+	}
+	if *speedscope == "" {
+		fmt.Print(attrib.RenderFolded(runs))
+		return exitOK
+	}
+	b, err := attrib.RenderSpeedscope(runs)
+	if err == nil {
+		err = os.WriteFile(*speedscope, b, 0o644)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
 		return exitRuntime
 	}
-	if *speedscope != "" {
-		b, err := attrib.RenderSpeedscope(d)
-		if err == nil {
-			err = os.WriteFile(*speedscope, b, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
-			return exitRuntime
-		}
-		return exitOK
-	}
-	fmt.Print(attrib.RenderFolded(d))
 	return exitOK
 }

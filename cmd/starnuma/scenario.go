@@ -13,16 +13,6 @@ import (
 	"starnuma/internal/scenario"
 )
 
-// Exit codes of the scenario subcommands. Parse/validation problems and
-// assertion failures are distinct so CI can tell a broken scenario file
-// from a regression.
-const (
-	exitOK        = 0
-	exitRuntime   = 1 // simulation/IO error
-	exitUsage     = 2 // bad usage, unreadable/invalid scenario
-	exitAssertion = 3 // scenario ran, one or more assertions failed
-)
-
 const scenarioUsage = `usage: starnuma scenario <command> [flags] <file-or-dir>...
 
 Commands:
@@ -39,30 +29,16 @@ Run flags:
   -v              print every check, not just failures
 
 Arguments name scenario JSON files, or directories whose *.json files
-are taken in sorted order.`
+are taken in sorted order.
+`
 
-// scenarioMain dispatches `starnuma scenario <cmd>`; it returns the
-// process exit code.
+// scenarioMain implements the `starnuma scenario` subcommands.
 func scenarioMain(args []string) int {
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, scenarioUsage)
-		return exitUsage
-	}
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "run":
-		return scenarioRun(rest)
-	case "validate":
-		return scenarioValidate(rest)
-	case "list":
-		return scenarioList(rest)
-	case "-h", "-help", "--help", "help":
-		fmt.Println(scenarioUsage)
-		return exitOK
-	default:
-		fmt.Fprintf(os.Stderr, "starnuma scenario: unknown command %q\n%s\n", cmd, scenarioUsage)
-		return exitUsage
-	}
+	return dispatch("scenario", scenarioUsage, args, map[string]func([]string) int{
+		"run":      scenarioRun,
+		"validate": scenarioValidate,
+		"list":     scenarioList,
+	})
 }
 
 // scenarioFiles expands the file-or-directory arguments into a flat
@@ -152,7 +128,7 @@ func scenarioList(args []string) int {
 
 func scenarioRun(args []string) int {
 	fs := flag.NewFlagSet("starnuma scenario run", flag.ContinueOnError)
-	fs.Usage = func() { fmt.Fprintln(os.Stderr, scenarioUsage) }
+	fs.Usage = func() { fmt.Fprint(os.Stderr, scenarioUsage) }
 	var (
 		jobs       = fs.Int("jobs", 0, "parallel worker slots (0 = GOMAXPROCS)")
 		cacheDir   = fs.String("cache", runner.DefaultCacheDir, "result cache directory")

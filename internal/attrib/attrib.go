@@ -209,6 +209,11 @@ func (p *Profile) Append(w WindowProfile) {
 	p.Windows = append(p.Windows, w)
 }
 
+// maxSockets bounds a decoded profile's socket count: far above any
+// modeled topology, low enough that the per-socket renderers cannot be
+// driven into unbounded allocation by a corrupt file.
+const maxSockets = 1 << 10
+
 // Validate checks the profile's shape: positive dimensions, known
 // category count, and every window's cell array sized sockets ×
 // categories. Decoders call it so corrupt documents fail loudly
@@ -217,8 +222,8 @@ func (p *Profile) Validate() error {
 	if p == nil {
 		return fmt.Errorf("attrib: nil profile")
 	}
-	if p.Sockets <= 0 {
-		return fmt.Errorf("attrib: profile has non-positive socket count %d", p.Sockets)
+	if p.Sockets <= 0 || p.Sockets > maxSockets {
+		return fmt.Errorf("attrib: profile socket count %d outside 1..%d", p.Sockets, maxSockets)
 	}
 	if len(p.Categories) == 0 {
 		return fmt.Errorf("attrib: profile has no categories")

@@ -137,65 +137,27 @@ func TestProfileInvariants(t *testing.T) {
 	}
 }
 
-func testDoc() *Doc {
-	return &Doc{Schema: DocSchema, Runs: []DocRun{
-		{Key: "bbb", Workload: "CC", Policy: "starnuma", Profile: testProfile()},
+func testRuns() []Run {
+	return []Run{
 		{Key: "aaa", Workload: "BFS", Policy: "oracle", Profile: testProfile()},
-	}}
-}
-
-func TestDocRoundTrip(t *testing.T) {
-	d := testDoc()
-	b, err := d.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeDoc(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Runs) != 2 || got.Runs[0].Key != "aaa" {
-		t.Fatalf("decoded doc %+v", got)
-	}
-	b2, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != string(b2) {
-		t.Fatal("re-encode not byte-identical")
-	}
-}
-
-func TestDecodeDocRejects(t *testing.T) {
-	cases := []string{
-		"",
-		"{",
-		`{"schema":"wrong","runs":[]}`,
-		`{"schema":"starnuma-stallprof-v1","runs":[{"key":"","profile":{"sockets":1,"categories":["x"],"windows":[]}}]}`,
-		`{"schema":"starnuma-stallprof-v1","runs":[{"key":"k"}]}`,
-		`{"schema":"starnuma-stallprof-v1","runs":[{"key":"k","profile":{"sockets":1,"categories":["x"],"windows":[{"phase":0,"total_ps":1,"cells":[1,2]}]}}]}`,
-	}
-	for i, c := range cases {
-		if _, err := DecodeDoc([]byte(c)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
+		{Key: "bbb", Workload: "CC", Policy: "starnuma", Profile: testProfile()},
 	}
 }
 
 func TestGroupTotalsAndDiff(t *testing.T) {
-	d := testDoc()
-	all, runs, skipped := d.GroupTotals("")
+	d := testRuns()
+	all, runs, skipped := GroupTotals(d, "")
 	if runs != 2 || skipped != 0 {
 		t.Fatalf("runs=%d skipped=%d", runs, skipped)
 	}
 	if all[DRAM] != 200 {
 		t.Fatalf("aggregate dram = %d", all[DRAM])
 	}
-	only, runs, _ := d.GroupTotals("oracle")
+	only, runs, _ := GroupTotals(d, "oracle")
 	if runs != 1 || only[DRAM] != 100 {
 		t.Fatalf("filtered runs=%d dram=%d", runs, only[DRAM])
 	}
-	none, runs, _ := d.GroupTotals("zzz")
+	none, runs, _ := GroupTotals(d, "zzz")
 	if runs != 0 || none[DRAM] != 0 {
 		t.Fatal("empty filter group not empty")
 	}
@@ -217,19 +179,19 @@ func TestGroupTotalsAndDiff(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	d := testDoc()
+	d := testRuns()
 	rep := RenderReport(d, true)
 	for _, want := range []string{"workload=BFS", "workload=CC", "dram", "socket"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
 	}
-	if rep := RenderReport(&Doc{Schema: DocSchema}, false); !strings.Contains(rep, "no attribution runs") {
+	if rep := RenderReport(nil, false); !strings.Contains(rep, "no attribution runs") {
 		t.Fatalf("empty report: %q", rep)
 	}
 
-	a, _, _ := d.GroupTotals("oracle")
-	b, _, _ := d.GroupTotals("starnuma")
+	a, _, _ := GroupTotals(d, "oracle")
+	b, _, _ := GroupTotals(d, "starnuma")
 	diff := RenderDiff("oracle", "starnuma", a, b)
 	if !strings.Contains(diff, "max category shift") {
 		t.Fatalf("diff output:\n%s", diff)

@@ -6,15 +6,13 @@ import (
 	"strings"
 )
 
-// RenderFolded renders the document as folded stacks — the
+// RenderFolded renders the runs as folded stacks — the
 // flamegraph.pl / speedscope-importable text format: one line per
 // (workload;socket;category) stack with its total picosecond weight,
 // in run → socket → category order so output is deterministic.
-func RenderFolded(d *Doc) string {
+func RenderFolded(runs []Run) string {
 	var b strings.Builder
-	d.Sort()
-	for i := range d.Runs {
-		r := &d.Runs[i]
+	for _, r := range runs {
 		p := r.Profile
 		nc := len(p.Categories)
 		for s := 0; s < p.Sockets; s++ {
@@ -60,12 +58,11 @@ type speedscopeProfile struct {
 	Weights    []float64 `json:"weights"`
 }
 
-// RenderSpeedscope renders the document as a speedscope sampled
-// profile: one profile per run, stacks workload → socket → category,
-// weights in nanoseconds. The frame table and sample order are
-// deterministic (runs sorted by key, cells in socket-major order).
-func RenderSpeedscope(d *Doc) ([]byte, error) {
-	d.Sort()
+// RenderSpeedscope renders the runs as a speedscope sampled profile:
+// one profile per run, stacks workload → socket → category, weights in
+// nanoseconds. The frame table and sample order are deterministic (runs
+// in the order given, cells in socket-major order).
+func RenderSpeedscope(runs []Run) ([]byte, error) {
 	var frames []speedscopeFrame
 	frameIdx := func(name string) int {
 		for i, f := range frames {
@@ -80,8 +77,7 @@ func RenderSpeedscope(d *Doc) ([]byte, error) {
 		Schema: "https://www.speedscope.app/file-format-schema.json",
 		Name:   "starnuma stall attribution",
 	}
-	for i := range d.Runs {
-		r := &d.Runs[i]
+	for _, r := range runs {
 		p := r.Profile
 		nc := len(p.Categories)
 		prof := speedscopeProfile{

@@ -19,16 +19,23 @@ func share(part, total int64) string {
 	return fmt.Sprintf("%5.1f%%", 100*float64(part)/float64(total))
 }
 
+// Run is one labelled profile as a run manifest carries it: the
+// runner's memo key plus the workload and policy labels runs are
+// grouped by. The renderers list runs in the order given; the runner
+// writes manifests sorted by key, so their output is deterministic.
+type Run struct {
+	Key, Workload, Policy string
+	Profile               *Profile
+}
+
 // RenderReport renders the per-run category tables of `starnuma prof
-// report`: one block per run (runs sorted by key), each category's
-// charged time and share of the run total, and optionally the
-// per-socket split. Zero categories are elided from the rows but the
-// run totals always cover every cell.
-func RenderReport(d *Doc, perSocket bool) string {
+// report`: one block per run, each category's charged time and share
+// of the run total, and optionally the per-socket split. Zero
+// categories are elided from the rows but the run totals always cover
+// every cell.
+func RenderReport(runs []Run, perSocket bool) string {
 	var b strings.Builder
-	d.Sort()
-	for i := range d.Runs {
-		r := &d.Runs[i]
+	for _, r := range runs {
 		p := r.Profile
 		total := p.Total()
 		fmt.Fprintf(&b, "run %s workload=%s policy=%s windows=%d sockets=%d total=%s\n",
@@ -50,8 +57,8 @@ func RenderReport(d *Doc, perSocket bool) string {
 			}
 		}
 	}
-	if len(d.Runs) == 0 {
-		b.WriteString("no attribution runs in document\n")
+	if len(runs) == 0 {
+		b.WriteString("no attribution runs (record them with -metrics)\n")
 	}
 	return b.String()
 }
@@ -64,14 +71,13 @@ func shortKey(k string) string {
 	return k
 }
 
-// GroupTotals sums category totals and run counts over the document's
-// runs whose key, workload, or policy contains substr (empty matches
-// all). The totals slice is indexed like Names(); runs whose profiles
-// carry a different category list are skipped and counted in skipped.
-func (d *Doc) GroupTotals(substr string) (totals []int64, runs, skipped int) {
+// GroupTotals sums category totals and run counts over the runs whose
+// key, workload, or policy contains substr (empty matches all). The
+// totals slice is indexed like Names(); runs whose profiles carry a
+// different category list are skipped and counted in skipped.
+func GroupTotals(rs []Run, substr string) (totals []int64, runs, skipped int) {
 	totals = make([]int64, NumCategories)
-	for i := range d.Runs {
-		r := &d.Runs[i]
+	for _, r := range rs {
 		if substr != "" && !strings.Contains(r.Key, substr) &&
 			!strings.Contains(r.Workload, substr) && !strings.Contains(r.Policy, substr) {
 			continue

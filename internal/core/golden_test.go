@@ -15,14 +15,18 @@ import (
 	"starnuma/internal/evtrace"
 	"starnuma/internal/fault"
 	"starnuma/internal/migrate"
+	"starnuma/internal/runner"
 	"starnuma/internal/topology"
 	"starnuma/internal/trace"
 	"starnuma/internal/workload"
 )
 
-// goldenFile holds one SHA-256 per golden case. A refactor of the
-// simulator must leave it byte-identical; only a deliberate model change
-// may rewrite it (the failure message prints the new contents).
+// goldenFile holds one SHA-256 per golden case under a first line
+// naming the runner.SchemaVersion the digests were taken at. A refactor
+// of the simulator must leave it byte-identical; only a deliberate model
+// change may rewrite it, and that change must also bump SchemaVersion so
+// stale result-cache entries stop being addressed (the failure message
+// prints the new contents).
 const goldenFile = "testdata/golden_digests.txt"
 
 // goldenSim is the fixed tiny configuration behind every golden case,
@@ -176,6 +180,7 @@ func TestGoldenResultDigests(t *testing.T) {
 		{"trace-replay-long", replay(2 * goldenSim().PhaseInstr), nil},
 	}
 	var got strings.Builder
+	fmt.Fprintf(&got, "schema %s\n", runner.SchemaVersion)
 	for _, tc := range cases {
 		r := tc.run(t)
 		if tc.check != nil {
@@ -189,7 +194,13 @@ func TestGoldenResultDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v; computed digests:\n%s", err, got.String())
 	}
+	wantSchema, _, _ := strings.Cut(string(want), "\n")
+	if gotSchema := "schema " + runner.SchemaVersion; wantSchema != gotSchema {
+		t.Fatalf("%s was taken at %q, but the result cache is at %q; recompute it.\ngot:\n%s",
+			goldenFile, wantSchema, gotSchema, got.String())
+	}
 	if got.String() != string(want) {
-		t.Fatalf("result digests changed.\ngot:\n%swant:\n%s", got.String(), want)
+		t.Fatalf("result digests changed: bump runner.SchemaVersion so cached results of the old model are not reused, "+
+			"then rewrite %s.\ngot:\n%swant:\n%s", goldenFile, got.String(), want)
 	}
 }

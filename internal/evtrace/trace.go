@@ -30,7 +30,7 @@ type TraceEvent struct {
 }
 
 // Trace is an assembled, serializable event timeline — the document
-// cmd/tracetool reads and Perfetto/chrome://tracing load.
+// starnuma trace reads and Perfetto/chrome://tracing load.
 type Trace struct {
 	Events []TraceEvent
 }
@@ -363,7 +363,7 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// CatStat summarises one category's events — the unit cmd/tracetool
+// CatStat summarises one category's events — the unit `starnuma trace`
 // reports and CI's -require check gates on.
 type CatStat struct {
 	Cat      string

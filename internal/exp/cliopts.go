@@ -14,10 +14,9 @@ import (
 	"starnuma/internal/runner"
 )
 
-// CLIFlags is the flag set shared by cmd/starnuma and cmd/expall. Both
-// CLIs register the same run-shaping flags through AddCLIFlags and
-// materialise Options through CLIFlags.Options, so the two stay in sync
-// by construction.
+// CLIFlags is the run-shaping flag set of cmd/starnuma's experiment
+// command. It registers them through AddCLIFlags and materialises
+// Options through CLIFlags.Options; tests drive the same pair.
 type CLIFlags struct {
 	Quick     bool
 	Scale     float64
@@ -28,12 +27,11 @@ type CLIFlags struct {
 	NoCache   bool
 	Progress  bool
 	// Metrics is the run-manifest output path; non-empty enables
-	// instrumentation collection (core.SimConfig.CollectMetrics).
+	// instrumentation collection (core.SimConfig.CollectMetrics) and the
+	// per-window stall ledger (core.SimConfig.Attrib), so the manifest
+	// carries each run's metrics and stall profile for `starnuma stat`
+	// and `starnuma prof`.
 	Metrics string
-	// Attrib is the stall-attribution document output path; non-empty
-	// enables the per-window stall ledger (core.SimConfig.Attrib) and
-	// writes an attrib.Doc readable by `starnuma prof`.
-	Attrib string
 	// Faults is a fault-plan JSON file; non-empty loads it into
 	// core.SimConfig.Faults so every experiment runs under the plan.
 	Faults string
@@ -47,10 +45,9 @@ type CLIFlags struct {
 	Trace string
 }
 
-// AddCLIFlags registers the shared run-shaping flags on fs and returns
-// the struct their parsed values land in. progressDefault seeds
-// -progress (expall defaults on, starnuma off).
-func AddCLIFlags(fs *flag.FlagSet, progressDefault bool) *CLIFlags {
+// AddCLIFlags registers the run-shaping flags on fs and returns the
+// struct their parsed values land in.
+func AddCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	f := &CLIFlags{}
 	fs.BoolVar(&f.Quick, "quick", false, "use the quick (small) configuration")
 	fs.Float64Var(&f.Scale, "scale", 0, "override workload footprint scale")
@@ -59,9 +56,8 @@ func AddCLIFlags(fs *flag.FlagSet, progressDefault bool) *CLIFlags {
 	fs.IntVar(&f.Jobs, "jobs", 0, "parallel worker slots (0 = GOMAXPROCS)")
 	fs.StringVar(&f.CacheDir, "cache", runner.DefaultCacheDir, "result cache directory")
 	fs.BoolVar(&f.NoCache, "nocache", false, "disable the persistent result cache")
-	fs.BoolVar(&f.Progress, "progress", progressDefault, "report job progress on stderr")
-	fs.StringVar(&f.Metrics, "metrics", "", "collect instrumentation and write a run manifest to this JSON file")
-	fs.StringVar(&f.Attrib, "attrib", "", "attribute stall time and write a profile document to this JSON file (see: starnuma prof)")
+	fs.BoolVar(&f.Progress, "progress", false, "report job progress on stderr")
+	fs.StringVar(&f.Metrics, "metrics", "", "collect instrumentation and stall attribution and write a run manifest to this JSON file (see: starnuma stat, starnuma prof)")
 	fs.StringVar(&f.Faults, "faults", "", "run under the fault-injection plan in this JSON file (internal/fault)")
 	fs.StringVar(&f.Policy, "policy", "", `migration policy as "name" or "name:{json-params}" (see: starnuma policy list)`)
 	fs.StringVar(&f.Trace, "trace", "", "record an event trace (Perfetto/chrome://tracing JSON) to this file; disables the result cache")
@@ -94,7 +90,7 @@ func (f *CLIFlags) Options(progressW io.Writer) (Options, error) {
 		opts.Reporter = runner.NewTerminalReporter(progressW)
 	}
 	opts.Sim.CollectMetrics = f.Metrics != ""
-	opts.Sim.Attrib = f.Attrib != ""
+	opts.Sim.Attrib = f.Metrics != ""
 	if f.Trace != "" {
 		opts.Trace = f.Trace
 		opts.Sim.Trace = true

@@ -369,10 +369,10 @@ func TestManifestDeterministic(t *testing.T) {
 }
 
 // TestCLIFlagsOptions checks the shared flag helper wires every flag
-// into Options, including -metrics enabling collection.
+// into Options, including -metrics enabling collection and attribution.
 func TestCLIFlagsOptions(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := AddCLIFlags(fs, false)
+	f := AddCLIFlags(fs)
 	err := fs.Parse([]string{"-quick", "-scale", "0.1", "-phases", "3",
 		"-workloads", "BFS,TC", "-jobs", "2", "-nocache", "-metrics", "m.json"})
 	if err != nil {
@@ -391,13 +391,13 @@ func TestCLIFlagsOptions(t *testing.T) {
 	if o.CacheDir != "" {
 		t.Errorf("nocache left CacheDir %q", o.CacheDir)
 	}
-	if !o.Sim.CollectMetrics {
-		t.Error("-metrics did not enable collection")
+	if !o.Sim.CollectMetrics || !o.Sim.Attrib {
+		t.Error("-metrics did not enable collection and attribution")
 	}
 
 	// Without -metrics, collection stays off.
 	fs2 := flag.NewFlagSet("test2", flag.ContinueOnError)
-	f2 := AddCLIFlags(fs2, true)
+	f2 := AddCLIFlags(fs2)
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestCLIFlagsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o2.Sim.CollectMetrics {
+	if o2.Sim.CollectMetrics || o2.Sim.Attrib {
 		t.Error("collection on by default")
 	}
 	if o2.CacheDir == "" {

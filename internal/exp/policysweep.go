@@ -68,7 +68,7 @@ func (r *Runner) PolicySweep() (*Table, error) {
 		perPlan []float64
 		overall float64
 		// stalls aggregates the policy's stall attribution across every
-		// (plan, workload) run when -attrib is enabled.
+		// (plan, workload) run when -metrics enables attribution.
 		stalls []int64
 	}
 	rows := make([]ranked, 0, len(pols))

@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
+	"starnuma/internal/core"
 	"starnuma/internal/evtrace"
 )
 
@@ -21,16 +21,9 @@ func (r *Runner) WriteTrace() error {
 		return nil
 	}
 	bd := evtrace.NewBuilder()
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.memo))
-	for k := range r.memo {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		bd.Add(strings.ReplaceAll(k, "|", "/"), r.memo[k].Trace)
-	}
-	r.mu.Unlock()
+	r.eachMemo(func(k string, res *core.Result) {
+		bd.Add(strings.ReplaceAll(k, "|", "/"), res.Trace)
+	})
 	if r.opts.WallTrace != nil {
 		bd.Add("", r.opts.WallTrace.Buffer())
 	}

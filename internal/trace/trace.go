@@ -5,7 +5,7 @@
 // Pin-based tracer and replays them in steps B and C. Our generators are
 // deterministic, so traces normally need not be materialised — but the
 // format is the persisted form of a recorded workload.Stream: users can
-// dump one (cmd/tracegen), inspect it, or feed externally produced
+// dump one (starnuma workload dump), inspect it, or feed externally produced
 // traces through the same pipeline (Source).
 //
 // Layout: a fixed header followed by fixed-size little-endian records.
