@@ -107,7 +107,7 @@ func dumpSource(t *testing.T, sys core.SystemConfig, cfg core.SimConfig, spec wo
 // runs that together cover every message path of the timing model: the
 // §V-F replication study (replica reads, write broadcasts, the write
 // penalty), the replicating policy, StarNUMA T16 with page migrations,
-// a degraded CXL plan (whose fault-injected links take the per-packet
+// the oracle policy's whole-run static placement, a degraded CXL plan (whose fault-injected links take the per-packet
 // page-transfer path) and a trace-file replay.
 func TestGoldenResultDigests(t *testing.T) {
 	if testing.Short() {
@@ -143,6 +143,8 @@ func TestGoldenResultDigests(t *testing.T) {
 	replStudy.Replication.MaxWriteFrac = 1.0
 	replPolicy := goldenSim()
 	replPolicy.Policy = core.PolicySpec{Name: "replication"}
+	oracle := goldenSim()
+	oracle.Policy = core.PolicySpec{Name: "oracle"}
 	degraded := goldenSim()
 	degraded.Faults = fault.DegradePlan(4)
 	plain := goldenSim()
@@ -168,6 +170,12 @@ func TestGoldenResultDigests(t *testing.T) {
 			return nil
 		}},
 		{"starnuma-t16-plain", run(core.StarNUMASystem(), plain, "BFS"), nil},
+		{"oracle-policy", run(core.StarNUMASystem(), oracle, "BFS"), func(r *core.Result) error {
+			if r.MigrStats != (migrate.Stats{}) || r.PoolPages == 0 {
+				return fmt.Errorf("oracle migration stats %+v, pool pages %d", r.MigrStats, r.PoolPages)
+			}
+			return nil
+		}},
 		{"cxl-degrade-4", run(core.StarNUMASystem(), degraded, "BFS"), func(r *core.Result) error {
 			if r.FaultDegradedSends == 0 || r.MigrStats.PagesToPool == 0 {
 				return fmt.Errorf("degraded sends %d, pages to pool %d", r.FaultDegradedSends, r.MigrStats.PagesToPool)
