@@ -144,9 +144,9 @@ func BenchmarkTable4PoolMigrations(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9StaticOracle regenerates Fig. 9: oracular static
+// BenchmarkFig9Oracle regenerates Fig. 9: the oracle policy's static
 // placement vs dynamic migration.
-func BenchmarkFig9StaticOracle(b *testing.B) {
+func BenchmarkFig9Oracle(b *testing.B) {
 	tbl := runTable(b, sharedRunner().Fig9)
 	gm := lastRow(tbl)
 	b.ReportMetric(cell(b, gm[1]), "gmean-baseline-static")

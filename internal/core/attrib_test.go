@@ -200,11 +200,9 @@ func TestAttribConservationReplication(t *testing.T) {
 	// charged to the replication category.
 	src := newFakeSource(16, func(core int) uint32 { return 0 })
 	src.writeEvery = 4
-	cfg := attribSim()
-	cfg.Replication.WritePenaltyCycles = 5000
-	replicated := make([]bool, 16)
-	replicated[0] = true
-	w := runWindow(BaselineSystem(), cfg, src, Checkpoint{PageHome: homesAll(16, 3)}, replicated)
+	repl := &migrate.Replicas{Pages: make([]bool, 16), Config: migrate.ReplicationConfig{WritePenaltyCycles: 5000}}
+	repl.Pages[0] = true
+	w := runWindow(BaselineSystem(), attribSim(), src, Checkpoint{PageHome: homesAll(16, 3)}, repl)
 	p := checkConserved(t, w)
 	if w.replicaWriteStalls == 0 {
 		t.Fatal("no replica write stalls")

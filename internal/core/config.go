@@ -59,8 +59,8 @@ var (
 	// PolicyPerfectBaseline runs the paper's favoured baseline: zero-cost
 	// perfect per-page knowledge, migrations between sockets only.
 	PolicyPerfectBaseline = PolicySpec{Name: "baseline-perfect"}
-	// PolicyNone performs no dynamic migration (static placement
-	// studies).
+	// PolicyNone performs no dynamic migration: pages stay where first
+	// touch put them.
 	PolicyNone = PolicySpec{Name: "none"}
 )
 
@@ -282,12 +282,6 @@ type SimConfig struct {
 	Policy PolicySpec
 	// Migration parameterises Algorithm 1.
 	Migration migrate.Config
-	// BaselineMigrationLimit caps the perfect baseline's moves per phase.
-	BaselineMigrationLimit int
-
-	// StaticOracle replaces first-touch + dynamic migration with
-	// whole-run oracular placement (§V-B). Forces PolicyNone behaviour.
-	StaticOracle bool
 
 	// MigrationCostCycles is the per-page cost on the migration-
 	// initiating core (hardware-assisted TLB shootdown, §IV-C: 3k
@@ -296,7 +290,8 @@ type SimConfig struct {
 
 	// Replication enables the §V-F study: replicate hot, widely-shared,
 	// read-mostly pages into every socket instead of (or alongside)
-	// pooling them.
+	// pooling them. It cannot be combined with a policy that selects
+	// its own replica set (migrate.Replicator).
 	Replication migrate.ReplicationConfig
 
 	// ForceDirectBT ablates Fig. 4's design point: block transfers whose
@@ -379,18 +374,17 @@ func DefaultSoftwareTracking() SoftwareTrackingConfig {
 // DefaultSim returns the default methodology scaling (DESIGN.md §4).
 func DefaultSim() SimConfig {
 	return SimConfig{
-		Phases:                 8,
-		PhaseInstr:             4_000_000,
-		TimedInstr:             400_000,
-		WarmupInstr:            40_000,
-		RegionPages:            32,
-		Tracker:                tracker.T16,
-		Policy:                 PolicyStarNUMA,
-		Migration:              migrate.AutoConfig(),
-		BaselineMigrationLimit: 8192,
-		MigrationCostCycles:    3000,
-		ModelTLB:               true,
-		PageWalkPenalty:        100 * sim.Nanosecond,
+		Phases:              8,
+		PhaseInstr:          4_000_000,
+		TimedInstr:          400_000,
+		WarmupInstr:         40_000,
+		RegionPages:         32,
+		Tracker:             tracker.T16,
+		Policy:              PolicyStarNUMA,
+		Migration:           migrate.AutoConfig(),
+		MigrationCostCycles: 3000,
+		ModelTLB:            true,
+		PageWalkPenalty:     100 * sim.Nanosecond,
 	}
 }
 

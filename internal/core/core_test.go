@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"starnuma/internal/memdev"
@@ -323,26 +324,26 @@ func TestRunMeasuredMPKIMatchesSpec(t *testing.T) {
 	}
 }
 
-func TestRunStaticOracle(t *testing.T) {
+func TestRunOraclePolicy(t *testing.T) {
 	spec := tinySpec(t, "BFS")
 	cfg := tinySim()
-	cfg.StaticOracle = true
+	cfg.Policy = PolicySpec{Name: "oracle"}
 	r, err := Run(StarNUMASystem(), cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Static placement performs no migrations but still pools pages.
 	if r.MigrStats.PagesToPool != 0 || r.MigrStats.PagesToSocket != 0 {
-		t.Fatalf("static oracle migrated: %+v", r.MigrStats)
+		t.Fatalf("oracle migrated: %+v", r.MigrStats)
 	}
 	if r.PoolPages == 0 {
-		t.Fatal("static oracle pooled nothing")
+		t.Fatal("oracle pooled nothing")
 	}
 	if r.AMAT.Breakdown()[stats.Pool] == 0 {
-		t.Fatal("no pool accesses under static oracle")
+		t.Fatal("no pool accesses under the oracle")
 	}
 	if r.MigrStalledAccesses != 0 {
-		t.Fatal("static oracle stalled accesses on migrations")
+		t.Fatal("oracle stalled accesses on migrations")
 	}
 }
 
@@ -541,6 +542,21 @@ func TestReplicationWritePenalty(t *testing.T) {
 	}
 	if repl.IPC >= base.IPC {
 		t.Fatalf("naive replication should hurt Masstree: %v vs %v (§V-F)", repl.IPC, base.IPC)
+	}
+}
+
+// TestReplicationStudyRejectsReplicatingPolicy: the §V-F study and a
+// policy that selects its own replica set would disagree about which
+// pages are replicated, so the combination is refused up front.
+func TestReplicationStudyRejectsReplicatingPolicy(t *testing.T) {
+	cfg := tinySim()
+	cfg.Replication = migrate.DefaultReplicationConfig()
+	cfg.Replication.Enable = true
+	cfg.Policy = PolicySpec{Name: "replication"}
+	_, err := Run(StarNUMASystem(), cfg, tinySpec(t, "TC"))
+	if err == nil || !strings.Contains(err.Error(), "Replication.Enable") ||
+		!strings.Contains(err.Error(), `"replication"`) {
+		t.Fatalf("want an error naming both settings, got %v", err)
 	}
 }
 

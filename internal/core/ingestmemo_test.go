@@ -26,7 +26,7 @@ func traceOutputs(tr *TraceResult) map[string]any {
 		"migrStats":   tr.MigrStats,
 		"flushes":     tr.TrackerFlushes,
 		"drained":     tr.DrainedPages,
-		"replicated":  tr.Replicated,
+		"replicated":  tr.Replicas.Pages,
 	}
 }
 

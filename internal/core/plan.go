@@ -40,20 +40,11 @@ func NewPlan(sys SystemConfig, cfg SimConfig, gen AccessSource) (*Plan, error) {
 	if want := topo.Sockets() * sys.CoresPerSocket; gen.NumCores() != want {
 		return nil, fmt.Errorf("core: source has %d cores, system needs %d", gen.NumCores(), want)
 	}
-	spec := gen.Spec()
 	tr, err := TraceSimulate(sys, cfg, gen)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.StaticOracle {
-		applyStaticOracle(tr, sys, gen, int64(spec.Seed))
-	}
-	if tr.ReplModel != nil {
-		// The policy selected the replica set; carry its timing model
-		// (write penalty) into the step-C windows.
-		cfg.Replication = *tr.ReplModel
-	}
-	return &Plan{sys: sys, cfg: cfg, spec: spec, tr: tr}, nil
+	return &Plan{sys: sys, cfg: cfg, spec: gen.Spec(), tr: tr}, nil
 }
 
 // NumWindows returns the number of step-C timing windows (one per
@@ -67,7 +58,7 @@ func (p *Plan) Checkpoint(i int) Checkpoint { return p.tr.Checkpoints[i] }
 func (p *Plan) Trace() *TraceResult { return p.tr }
 
 // Window is one step-C timing window's measurements, produced by
-// RunWindow and folded into a Result by MergeWindow. It is opaque: the
+// RunWindow and folded into a Result by mergeWindow. It is opaque: the
 // accumulation rules live in core, callers only route windows around.
 type Window struct {
 	stats windowStats
@@ -83,13 +74,13 @@ type Window struct {
 //
 //starnuma:hotpath step-C entry point, one call per (window, worker)
 func (p *Plan) RunWindow(i int, gen AccessSource) Window {
-	return Window{stats: runWindow(p.sys, p.cfg, gen, p.tr.Checkpoints[i], p.tr.Replicated)}
+	return Window{stats: runWindow(p.sys, p.cfg, gen, p.tr.Checkpoints[i], &p.tr.Replicas)}
 }
 
-// NewResult initialises the aggregate result: header fields, step-B
+// newResult initialises the aggregate result: header fields, step-B
 // summaries, and the AMAT accumulator with the plan's unloaded-latency
-// constants. Windows are then folded in with MergeWindow.
-func (p *Plan) NewResult() *Result {
+// constants. Windows are then folded in with mergeWindow.
+func (p *Plan) newResult() *Result {
 	res := &Result{
 		Workload:       p.spec.Name,
 		Policy:         p.cfg.Policy,
@@ -113,14 +104,14 @@ func (p *Plan) NewResult() *Result {
 	return res
 }
 
-// MergeWindow folds one window's measurements into r. All counters are
+// mergeWindow folds one window's measurements into r. All counters are
 // integer sums, so merging is commutative except for the per-core IPC
 // samples, whose float mean is order-sensitive: merge windows in
 // checkpoint order to get bit-identical aggregates regardless of how
 // the windows were executed.
 //
 //starnuma:hotpath one call per finished window on the merge goroutine
-func (r *Result) MergeWindow(w Window) {
+func (r *Result) mergeWindow(w Window) {
 	r.AMAT.Merge(w.stats.amat)
 	//starnumavet:allow hotalloc once per merged window, amortized over the run
 	r.ipcs = append(r.ipcs, w.stats.ipcs...)
@@ -168,12 +159,12 @@ func (r *Result) MergeWindow(w Window) {
 // Assemble merges the windows in slice order and computes the derived
 // aggregates (IPC, MPKI, replication and pool placement counts). Pass
 // windows indexed by checkpoint for the deterministic ordering contract
-// of MergeWindow. A degenerate run with no windows (or windows that
+// of mergeWindow. A degenerate run with no windows (or windows that
 // retired nothing) yields zero aggregates, never NaN.
 func (p *Plan) Assemble(windows []Window) *Result {
-	res := p.NewResult()
+	res := p.newResult()
 	for _, w := range windows {
-		res.MergeWindow(w)
+		res.mergeWindow(w)
 	}
 	if res.Trace != nil && p.tr.Trace != nil {
 		res.Trace.Append(translateStepB(p.tr.Trace, res.windowOffsets, res.traceOff))
@@ -185,7 +176,7 @@ func (p *Plan) Assemble(windows []Window) *Result {
 	if res.Instructions > 0 {
 		res.MPKI = float64(res.Misses) / float64(res.Instructions) * 1000
 	}
-	for _, rep := range p.tr.Replicated {
+	for _, rep := range p.tr.Replicas.Pages {
 		if rep {
 			res.ReplicatedPages++
 		}

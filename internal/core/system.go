@@ -85,7 +85,7 @@ type windowStats struct {
 	met *metrics.Snapshot
 	// trc is the window's event-trace buffer, with timestamps on the
 	// window's local clock (t=0 at window start); nil unless
-	// SimConfig.Trace. Result.MergeWindow shifts it onto the run's
+	// SimConfig.Trace. Result.mergeWindow shifts it onto the run's
 	// continuous timeline.
 	trc *evtrace.Buffer
 	// prof is the window's stall-attribution snapshot; nil unless
@@ -127,9 +127,10 @@ type timingSystem struct {
 	injectors []*fault.Injector
 	poolFault fault.PoolState
 
-	pageHome   []topology.NodeID
-	inFlight   map[uint32][]func() // page -> callbacks waiting for migration
-	replicated []bool              // §V-F study; nil when disabled
+	pageHome    []topology.NodeID
+	inFlight    map[uint32][]func() // page -> callbacks waiting for migration
+	replicated  []bool              // step B's replica set; nil when none
+	replPenalty sim.Time            // stall per store to a replicated page
 
 	// Stall attribution (internal/attrib): led is the active ledger, nil
 	// (disabled) unless cfg.Attrib — every charge site is gated on it, so
@@ -190,9 +191,6 @@ var scratchPools sync.Map // scratchKey -> *sync.Pool
 // charge annex flush traffic for its metadata. The registry descriptor
 // declares it; static placement (oracle) never consults the tracker.
 func policyChargesTracker(cfg SimConfig) bool {
-	if cfg.StaticOracle {
-		return false
-	}
 	d, ok := migrate.LookupPolicy(cfg.Policy.CanonicalName())
 	return ok && d.UsesTracker
 }
@@ -203,7 +201,7 @@ func policyChargesTracker(cfg SimConfig) bool {
 //
 //starnuma:coldpath once-per-window setup
 func acquireTimingSystem(sys SystemConfig, cfg SimConfig, gen AccessSource,
-	chk Checkpoint, replicated []bool) *timingSystem {
+	chk Checkpoint, repl *migrate.Replicas) *timingSystem {
 	key := scratchKey{sys: sys, pages: gen.NumPages(), modelTLB: cfg.ModelTLB}
 	var ts *timingSystem
 	if p, ok := scratchPools.Load(key); ok {
@@ -216,7 +214,7 @@ func acquireTimingSystem(sys SystemConfig, cfg SimConfig, gen AccessSource,
 		ts = newScratch(sys, cfg, gen)
 		ts.key = key
 	}
-	ts.prepare(cfg, gen, chk, replicated)
+	ts.prepare(cfg, gen, chk, repl)
 	return ts
 }
 
@@ -327,7 +325,7 @@ func (ts *timingSystem) resetScratch() {
 // must be indistinguishable from a new one.
 //
 //starnuma:coldpath once-per-window configuration
-func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint, replicated []bool) {
+func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint, repl *migrate.Replicas) {
 	ts.cfg = cfg
 	ts.mlp = gen.Spec().MLP
 	ts.chargeTracker = policyChargesTracker(cfg)
@@ -396,7 +394,11 @@ func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint,
 
 	// Placement state.
 	ts.pageHome = append(ts.pageHome[:0], chk.PageHome...)
-	ts.replicated = replicated
+	ts.replicated, ts.replPenalty = nil, 0
+	if repl != nil {
+		ts.replicated = repl.Pages
+		ts.replPenalty = repl.Config.WritePenaltyCycles.Time(ts.cyclePS)
+	}
 
 	// Cores: reset in place, keeping identity and the bound wake event,
 	// with their cursors at the start of the phase stream.
@@ -410,7 +412,6 @@ func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint,
 		ts.annexCount[i] = 0
 	}
 	ts.w.amat = stats.NewAMAT()
-	ts.w.amat.SetUnloadedLatencies(unloadedLatencies(ts.topo, ts.localUnloaded()))
 }
 
 // localUnloaded is the zero-contention local access latency of the
@@ -1181,7 +1182,7 @@ func (ts *timingSystem) replicatedAccess(cs *coreState, a workload.Access,
 		inv.sendStep(socket, topology.NodeID(s), ts.sys.MessageBytes)
 		inv.run(now)
 	}
-	penalty := ts.cfg.Replication.WritePenaltyCycles.Time(ts.cyclePS)
+	penalty := ts.replPenalty
 	if ts.led != nil && record {
 		// The kernel-level replica-coherence stall is exactly penalty;
 		// the home round trip decomposes like any demand access.
@@ -1238,10 +1239,10 @@ func streamOverrun(core int) {
 //
 //starnuma:hotpath the step-C window timing simulation
 func runWindow(sys SystemConfig, cfg SimConfig, gen AccessSource,
-	chk Checkpoint, replicated []bool) windowStats {
+	chk Checkpoint, repl *migrate.Replicas) windowStats {
 	gen.SetPhaseBudget(cfg.PhaseInstr)
 	gen.ResetPhase(chk.Phase)
-	ts := acquireTimingSystem(sys, cfg, gen, chk, replicated)
+	ts := acquireTimingSystem(sys, cfg, gen, chk, repl)
 	ts.start(chk)
 	ts.eng.Run()
 	// Cores that never finished (possible only on malformed configs)

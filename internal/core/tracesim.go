@@ -24,13 +24,10 @@ type Checkpoint struct {
 // TraceResult bundles step B's outputs.
 type TraceResult struct {
 	Checkpoints []Checkpoint
-	// Replicated marks the pages selected for replication — by the §V-F
-	// study flag or by a replicating policy; nil when neither applies.
-	Replicated []bool
-	// ReplModel is the effective replication timing model when the policy
-	// (rather than the study flag) selected the replica set; Plan threads
-	// it into the step-C configuration. nil otherwise.
-	ReplModel *migrate.ReplicationConfig
+	// Replicas is the replica set — selected by the §V-F study or by a
+	// replicating policy — with the config it was selected under, whose
+	// write penalty step C charges. Pages is nil when neither applies.
+	Replicas migrate.Replicas
 	// FinalHome is the placement after the last phase's decisions.
 	FinalHome []topology.NodeID
 	// Totals aggregates whole-run per-page access counts (oracle input,
@@ -198,11 +195,8 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 		RegionPages:                tbl.RegionPages(),
 		TrackerKind:                tbl.Kind(),
 		MeanRegionAccessesPerPhase: phaseAccesses / float64(tbl.NumRegions()),
-		Seed:                       cfg.Migration.Seed,
 		WorkloadSeed:               int64(spec.Seed),
 		BaseMigration:              cfg.Migration,
-		BaselineMigrationLimit:     cfg.BaselineMigrationLimit,
-		Replication:                cfg.Replication,
 		Link: func(phase int) migrate.LinkHealth {
 			return linkHealth(sched, sys, topo, phase)
 		},
@@ -213,8 +207,8 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.StaticOracle {
-		policy = migrate.NoMigration{}
+	if _, ok := policy.(migrate.Replicator); ok && cfg.Replication.Enable {
+		return nil, fmt.Errorf("core: Replication.Enable (the §V-F study) conflicts with policy %q, which selects its own replica set", policyName)
 	}
 
 	res := &TraceResult{Totals: totals}
@@ -326,7 +320,7 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 	// A post-placing policy (the zero-cost oracle) replaces every
 	// checkpoint's placement with its whole-run computation and drops the
 	// dynamic migrations — §V-B's static placement studies as a policy.
-	if pp, ok := policy.(migrate.PostPlacer); ok && !cfg.StaticOracle {
+	if pp, ok := policy.(migrate.PostPlacer); ok {
 		placement := pp.PostPlace(totals)
 		for i := range res.Checkpoints {
 			res.Checkpoints[i].PageHome = placement
@@ -335,15 +329,9 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 		res.FinalHome = placement
 	}
 	if cfg.Replication.Enable {
-		res.Replicated = migrate.ReplicationSet(totals, cfg.Replication)
+		res.Replicas = migrate.Replicas{Pages: migrate.ReplicationSet(totals, cfg.Replication), Config: cfg.Replication}
 	} else if rp, ok := policy.(migrate.Replicator); ok {
-		// A replicating policy selected its own replica set during the
-		// run; its timing model rides along for step C.
-		if set := rp.ReplicatedSet(); set != nil {
-			res.Replicated = set
-			model := rp.ReplicationModel()
-			res.ReplModel = &model
-		}
+		res.Replicas = rp.Replicas()
 	}
 	res.TrackerFlushes = tbl.Flushes()
 	res.MigrStats = policy.Stats()
@@ -358,9 +346,9 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 		reg.Add("migrate/policy/"+policyName+"/evictions", res.MigrStats.Evictions)
 		reg.Add("migrate/policy/"+policyName+"/pingpong_skips", res.MigrStats.PingPongSkips)
 		reg.Add("migrate/policy/"+policyName+"/link_backoff_phases", res.MigrStats.LinkBackoffPhases)
-		if res.Replicated != nil {
+		if res.Replicas.Pages != nil {
 			n := uint64(0)
-			for _, r := range res.Replicated {
+			for _, r := range res.Replicas.Pages {
 				if r {
 					n++
 				}
@@ -396,27 +384,4 @@ func linkHealth(sched *fault.Schedule, sys SystemConfig, topo *topology.Topology
 		h.PoolCapacityFrac = ps.CapacityFrac
 	}
 	return h
-}
-
-// checkpointMapWithStatic replaces every checkpoint's page map with the
-// oracle placement and drops all migrations (§V-B's static placement
-// studies).
-func applyStaticOracle(tr *TraceResult, sys SystemConfig, gen AccessSource, seed int64) {
-	topo := topology.New(sys.Topology)
-	cfg := migrate.StaticOracleConfig{
-		Sockets:             topo.Sockets(),
-		HasPool:             topo.HasPool(),
-		PoolNode:            topo.PoolNode(),
-		PoolSharerThreshold: 8,
-		Seed:                seed,
-	}
-	if topo.HasPool() {
-		cfg.PoolCapacityPages = sys.Pool.CapacityPages(gen.NumPages())
-	}
-	placement := migrate.StaticOraclePlacement(tr.Totals, cfg)
-	for i := range tr.Checkpoints {
-		tr.Checkpoints[i].PageHome = placement
-		tr.Checkpoints[i].Migrations = nil
-	}
-	tr.FinalHome = placement
 }

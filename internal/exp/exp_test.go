@@ -217,6 +217,26 @@ func TestFig9StaticOracleIntegration(t *testing.T) {
 	if static < 1.05 || dynamic < 1.05 {
 		t.Errorf("static %v / dynamic %v, want both > 1.05", static, dynamic)
 	}
+
+	// The static series is the registry's oracle policy: a fresh
+	// StarNUMA run under it reproduces the table cell.
+	specs, err := r.opts.specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := r.opts.Sim
+	cfg.Policy = core.PolicySpec{Name: "oracle"}
+	ro, err := r.runVariant(variant{"fig9-oracle-check", core.StarNUMASystem(), cfg}, specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := r.baseline(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := x(core.Speedup(ro, rb)); got != tbl.Rows[0][2] {
+		t.Errorf("starnuma+oracle speedup %s, table says %s", got, tbl.Rows[0][2])
+	}
 }
 
 func TestQuickAndDefaultOptionsValid(t *testing.T) {

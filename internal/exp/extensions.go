@@ -249,8 +249,7 @@ func (r *Runner) ExtDrift() (*Table, error) {
 	cfgB.Policy = core.PolicyPerfectBaseline
 	// Static oracle on the same architecture.
 	cfgS := r.opts.Sim
-	cfgS.Policy = core.PolicyNone
-	cfgS.StaticOracle = true
+	cfgS.Policy = core.PolicySpec{Name: "oracle"}
 	// StarNUMA's own policy on the pool-equipped system.
 	cfgD := r.opts.Sim
 	cfgD.Policy = core.PolicyStarNUMA

@@ -335,8 +335,7 @@ func (r *Runner) Fig9() (*Table, error) {
 		Notes:   "static placement does not help the baseline (no good home for vagabond pages exists) but slightly beats dynamic StarNUMA (no migration overheads)",
 	}
 	cfgStatic := r.opts.Sim
-	cfgStatic.StaticOracle = true
-	cfgStatic.Policy = core.PolicyNone
+	cfgStatic.Policy = core.PolicySpec{Name: "oracle"}
 	baseStatic := variant{"baseline-static", core.BaselineSystem(), cfgStatic}
 	snStatic := variant{"starnuma-static", core.StarNUMASystem(), cfgStatic}
 	if err := r.prefetch(specs, r.baselineVariant(), r.starnumaVariant(), baseStatic, snStatic); err != nil {

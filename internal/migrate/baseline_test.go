@@ -114,6 +114,22 @@ func TestPerfectBaselineLimit(t *testing.T) {
 	if ms := p.Decide(0, st); len(ms) != 10 {
 		t.Fatalf("migrated %d, want 10", len(ms))
 	}
+
+	// The registry's descriptor default is the paper's 8192-page cap.
+	const pages = 8192 + 64
+	st = baselineState(pages)
+	for pg := uint32(0); pg < pages; pg++ {
+		for i := 0; i < 20; i++ {
+			st.Counts.Record(9, pg)
+		}
+	}
+	pol, err := NewPolicy("baseline-perfect", nil, testEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := pol.Decide(0, st); len(ms) != 8192 {
+		t.Fatalf("default baseline-perfect migrated %d, want 8192", len(ms))
+	}
 }
 
 func TestPerfectBaselineRequiresCounts(t *testing.T) {

@@ -78,16 +78,12 @@ func init() {
 		Name: "baseline-perfect",
 		Doc:  "paper's favoured baseline: zero-cost perfect per-page knowledge, socket-only moves (§IV-C)",
 		Params: []ParamSpec{
-			{Name: "migration_limit", Doc: "pages moved per phase (0 = configured default)", Default: 8192},
+			{Name: "migration_limit", Doc: "pages moved per phase (0 = unlimited)", Default: 8192},
 			{Name: "min_accesses", Doc: "per-phase accesses below which a page is ignored", Default: 16},
 			{Name: "gain", Doc: "advantage factor the best socket needs over the home", Default: 1.6},
 		},
-		New: func(p Params, env PolicyEnv) (Policy, error) {
-			limit := env.BaselineMigrationLimit
-			if limit == 0 {
-				limit = 8192
-			}
-			pol := NewPerfectBaseline(int(p.Get("migration_limit", float64(limit))))
+		New: func(p Params, _ PolicyEnv) (Policy, error) {
+			pol := NewPerfectBaseline(int(p.Get("migration_limit", 8192)))
 			pol.MinAccesses = uint32(p.Get("min_accesses", float64(pol.MinAccesses)))
 			pol.Gain = p.Get("gain", pol.Gain)
 			if pol.Gain < 1 {
@@ -163,10 +159,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			rc := env.Replication
-			if !rc.Enable {
-				rc = DefaultReplicationConfig()
-			}
+			rc := DefaultReplicationConfig()
 			rc.Enable = true
 			rc.MinSharers = int(p.Get("min_sharers", float64(rc.MinSharers)))
 			rc.MaxWriteFrac = p.Get("max_write_frac", rc.MaxWriteFrac)

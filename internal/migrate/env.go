@@ -38,21 +38,13 @@ type PolicyEnv struct {
 	// length and MPKI.
 	MeanRegionAccessesPerPhase float64
 
-	// Seed drives the policy's random choices (Config.Seed lineage);
-	// WorkloadSeed is the workload stream's seed, used where decisions
-	// must match per-workload seeded companions (the static oracle).
-	Seed         int64
+	// WorkloadSeed is the workload stream's seed; the oracle breaks
+	// placement ties with it.
 	WorkloadSeed int64
 
 	// BaseMigration carries the SimConfig.Migration knobs (Algorithm 1
-	// family); BaselineMigrationLimit the perfect baseline's cap.
-	BaseMigration          Config
-	BaselineMigrationLimit int
-
-	// Replication carries the SimConfig.Replication knobs; the
-	// replication policy falls back to DefaultReplicationConfig when the
-	// study section is not enabled.
-	Replication ReplicationConfig
+	// family).
+	BaseMigration Config
 
 	// Link reports the health outlook of the socket↔pool fabric for the
 	// given phase's timing window (bandwidth-aware policies). Never nil

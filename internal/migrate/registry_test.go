@@ -20,7 +20,6 @@ func testEnv() PolicyEnv {
 		RegionPages:                regionPages,
 		TrackerKind:                tracker.T16,
 		MeanRegionAccessesPerPhase: 100,
-		Seed:                       1,
 		WorkloadSeed:               7,
 	}
 }
@@ -275,8 +274,8 @@ func TestReplicationPolicyFiltersPoolMoves(t *testing.T) {
 	}
 	st := conformanceState() // region 2: hot, read-only, shared by all sockets
 	ms := p.Decide(0, st)
-	rp := p.(*ReplicationPolicy)
-	set := rp.ReplicatedSet()
+	repl := p.(Replicator).Replicas()
+	set := repl.Pages
 	if set == nil {
 		t.Fatal("no pages replicated")
 	}
@@ -296,8 +295,12 @@ func TestReplicationPolicyFiltersPoolMoves(t *testing.T) {
 			t.Fatalf("replicated page %d left homed in the pool", pg)
 		}
 	}
-	if !rp.ReplicationModel().Enable {
-		t.Fatal("replication model must be enabled")
+	// The set carries the config it was selected under: the policy's
+	// descriptor defaults, never a study section of the caller's.
+	want := DefaultReplicationConfig()
+	want.Enable = true
+	if repl.Config != want {
+		t.Fatalf("replica set config %+v, want %+v", repl.Config, want)
 	}
 
 	// Written pages stay out of the replica set.
@@ -307,7 +310,7 @@ func TestReplicationPolicyFiltersPoolMoves(t *testing.T) {
 	}
 	p2, _ := NewPolicy("replication", Params{"hi_start": 64, "hot_accesses": 10}, testEnv())
 	p2.Decide(0, st2)
-	if s2 := p2.(*ReplicationPolicy).ReplicatedSet(); s2 != nil && s2[first] {
+	if s2 := p2.(Replicator).Replicas().Pages; s2 != nil && s2[first] {
 		t.Fatal("write-heavy page was replicated")
 	}
 }

