@@ -107,8 +107,13 @@ func dispatch(group, usage string, args []string, cmds map[string]func([]string)
 	return cmd(args[1:])
 }
 
+// errUsage marks a command error as bad usage (exit 2); wrap it with
+// fmt.Errorf("%w: ...", errUsage).
+var errUsage = errors.New("bad usage")
+
 // withErr adapts a command that reports failure as an error: flag help
-// exits 0, any other error is printed and exits 1.
+// exits 0, an errUsage error is printed and exits 2, any other error is
+// printed and exits 1.
 func withErr(group string, f func([]string) error) func([]string) int {
 	return func(args []string) int {
 		err := f(args)
@@ -119,6 +124,9 @@ func withErr(group string, f func([]string) error) func([]string) int {
 			return exitOK
 		}
 		fmt.Fprintf(os.Stderr, "starnuma %s: %v\n", group, err)
+		if errors.Is(err, errUsage) {
+			return exitUsage
+		}
 		return exitRuntime
 	}
 }

@@ -114,6 +114,12 @@ func workloadDump(args []string) error {
 	if err := parseNoArgs(fs, args); err != nil {
 		return err
 	}
+	if *phase < 0 {
+		return fmt.Errorf("%w: -phase %d is negative", errUsage, *phase)
+	}
+	if *instr == 0 {
+		return fmt.Errorf("%w: -instr must be positive", errUsage)
+	}
 	spec, err := workload.ByName(*wl, *scale)
 	if err != nil {
 		return err

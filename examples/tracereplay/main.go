@@ -2,7 +2,7 @@
 // dumps two phases of a workload's miss stream to binary trace files
 // (the step-A artifact, §IV-A1), then replays them through steps B and C
 // via core.RunSource — the route an externally captured trace would
-// take.
+// take. It exits non-zero unless both routes give the identical Result.
 //
 // Run with:
 //
@@ -10,6 +10,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -77,4 +79,17 @@ func main() {
 		fromGen.IPC, fromGen.AMAT.Measured().Nanos(), fromGen.PoolPages)
 	fmt.Printf("%-12s %8.3f %11.1fns %10d\n", "trace file",
 		fromTrace.IPC, fromTrace.AMAT.Measured().Nanos(), fromTrace.PoolPages)
+
+	genJSON, err := json.Marshal(fromGen)
+	if err != nil {
+		log.Fatal(err)
+	}
+	traceJSON, err := json.Marshal(fromTrace)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !bytes.Equal(genJSON, traceJSON) {
+		log.Fatal("trace replay result differs from the generator's")
+	}
+	fmt.Println("\nresults identical")
 }

@@ -14,8 +14,11 @@ import (
 // exactly like the synthetic generators.
 //
 // One file per phase, in phase order. If the pipeline asks for more
-// phases than files exist, phases wrap around. Each file decodes into a
-// workload.Stream fitted to the phase budget: a core's stream is the
+// phases than files exist, phases wrap around. NewSource decodes every
+// file once, so one Source holds every phase's decoded stream and steps
+// B and C replay them with no further I/O (§IV-A1: a phase is recorded
+// once and replayed by both steps). Each phase's stream is fitted to
+// the phase budget on first use at that budget: a core's stream is the
 // shortest prefix of its records, repeated end to end, whose gaps reach
 // the budget — longer files are cut, shorter ones wrap (traces are
 // treated as stationary samples, like the paper's per-phase trace
@@ -28,17 +31,16 @@ type Source struct {
 	pages          int
 	budget         uint64
 
-	cur    int              // currently loaded phase file index
-	raw    *workload.Stream // the loaded file's records, grouped per core
-	stream *workload.Stream // raw fitted to budget
+	raw    []*workload.Stream // file i's records, grouped per core
+	fitted []*workload.Stream // raw[i] fitted to budget; nil until first use
+	bound  int                // file index ResetPhase bound
 }
 
 // NewSource opens a replay source over the given per-phase trace files.
 // The spec supplies the timing parameters (IPC, MPKI, MLP) the trace
 // itself does not carry; its footprint is overridden by the trace
-// header. The first file is decoded and validated here; later files are
-// decoded when the pipeline reaches their phase, and a malformed one
-// makes ResetPhase panic with the same named error.
+// header. Every file is decoded and validated here, so a malformed one
+// fails NewSource with an error naming it, never a later phase.
 func NewSource(spec workload.Spec, sockets, coresPerSocket int, paths []string) (*Source, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("trace: no trace files")
@@ -51,39 +53,49 @@ func NewSource(spec workload.Spec, sockets, coresPerSocket int, paths []string) 
 		paths:          paths,
 		sockets:        sockets,
 		coresPerSocket: coresPerSocket,
+		raw:            make([]*workload.Stream, len(paths)),
+		fitted:         make([]*workload.Stream, len(paths)),
 	}
-	if err := s.load(0); err != nil {
-		return nil, err
+	for i := range paths {
+		raw, err := s.decode(i)
+		if err != nil {
+			return nil, err
+		}
+		s.raw[i] = raw
 	}
 	s.spec.FootprintPages = s.pages
+	s.ResetPhase(0)
 	return s, nil
 }
 
-// load decodes phase file i into per-core record sequences, adopting
-// the file's footprint on the first load, and fits them to the budget.
-// Every record is validated against the system shape and footprint.
-func (s *Source) load(i int) error {
+// decode reads phase file i into per-core record sequences, adopting
+// the file's footprint if it is the first. Every record is validated
+// against the system shape and footprint.
+func (s *Source) decode(i int) (*workload.Stream, error) {
 	path := s.paths[i]
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("trace: %s: %w", path, err)
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
 	h := r.Header()
 	cores := s.NumCores()
 	if h.Cores != cores {
-		return fmt.Errorf("trace: file %s has %d cores, system needs %d", path, h.Cores, cores)
+		return nil, fmt.Errorf("trace: file %s has %d cores, system needs %d", path, h.Cores, cores)
 	}
 	if s.pages == 0 {
 		s.pages = h.Pages
 	} else if h.Pages != s.pages {
-		return fmt.Errorf("trace: file %s has %d pages, %s has %d", path, h.Pages, s.paths[0], s.pages)
+		return nil, fmt.Errorf("trace: file %s has %d pages, %s has %d", path, h.Pages, s.paths[0], s.pages)
 	}
 	recs := data[h.size():]
-	n := len(recs) / recordSize // a truncated final record is dropped
+	if extra := len(recs) % recordSize; extra != 0 {
+		return nil, fmt.Errorf("trace: %s: truncated record: %d trailing bytes", path, extra)
+	}
+	n := len(recs) / recordSize
 
 	// Group the interleaved records per core by counting sort.
 	raw := &workload.Stream{
@@ -96,13 +108,13 @@ func (s *Source) load(i int) error {
 	for k := 0; k < n; k++ {
 		c := int(decodeRecord(recs[k*recordSize:]).Core)
 		if c >= cores {
-			return fmt.Errorf("trace: %s: record %d: core %d out of range (%d cores)", path, k, c, cores)
+			return nil, fmt.Errorf("trace: %s: record %d: core %d out of range (%d cores)", path, k, c, cores)
 		}
 		raw.Off[c+1]++
 	}
 	for c := 0; c < cores; c++ {
 		if raw.Off[c+1] == 0 {
-			return fmt.Errorf("trace: %s: core %d has no records", path, c)
+			return nil, fmt.Errorf("trace: %s: core %d has no records", path, c)
 		}
 		raw.Off[c+1] += raw.Off[c]
 	}
@@ -112,10 +124,10 @@ func (s *Source) load(i int) error {
 		rec := decodeRecord(recs[k*recordSize:])
 		c, a := rec.Core, rec.Access
 		if int(a.Page) >= s.pages {
-			return fmt.Errorf("trace: %s: core %d: record %d: page %d out of range (%d pages)", path, c, k, a.Page, s.pages)
+			return nil, fmt.Errorf("trace: %s: core %d: record %d: page %d out of range (%d pages)", path, c, k, a.Page, s.pages)
 		}
 		if a.Block >= workload.BlocksPerPage {
-			return fmt.Errorf("trace: %s: core %d: record %d: block %d out of range (%d blocks per page)",
+			return nil, fmt.Errorf("trace: %s: core %d: record %d: block %d out of range (%d blocks per page)",
 				path, c, k, a.Block, workload.BlocksPerPage)
 		}
 		j := next[c]
@@ -125,12 +137,10 @@ func (s *Source) load(i int) error {
 	}
 	for c, sum := range gapSum {
 		if sum == 0 {
-			return fmt.Errorf("trace: %s: core %d: every record has gap 0, so no instruction budget is ever reached", path, c)
+			return nil, fmt.Errorf("trace: %s: core %d: every record has gap 0, so no instruction budget is ever reached", path, c)
 		}
 	}
-	s.cur, s.raw = i, raw
-	s.stream = fit(raw, s.budget)
-	return nil
+	return raw, nil
 }
 
 // fit returns raw cut or wrapped to budget: each core's shortest prefix
@@ -183,27 +193,29 @@ func fit(raw *workload.Stream, budget uint64) *workload.Stream {
 	return out
 }
 
-// SetPhaseBudget implements core.AccessSource: later streams are fitted
-// to budget instructions per core.
+// SetPhaseBudget implements core.AccessSource: streams, the bound one
+// included, are fitted to budget instructions per core from now on.
 func (s *Source) SetPhaseBudget(budget uint64) {
 	if budget != s.budget {
 		s.budget = budget
-		s.stream = fit(s.raw, budget)
+		clear(s.fitted)
+		s.ResetPhase(s.bound)
 	}
 }
 
-// ResetPhase implements core.AccessSource: it decodes the phase's file
-// unless it is already loaded.
+// ResetPhase implements core.AccessSource: it binds the phase's file,
+// fitting it to the budget on its first use at that budget. It does no
+// I/O: NewSource decoded every file.
 func (s *Source) ResetPhase(phase int) {
-	if i := phase % len(s.paths); i != s.cur {
-		if err := s.load(i); err != nil {
-			panic(fmt.Sprintf("trace: loading phase %d: %v", phase, err))
-		}
+	i := phase % len(s.raw)
+	if s.fitted[i] == nil {
+		s.fitted[i] = fit(s.raw[i], s.budget)
 	}
+	s.bound = i
 }
 
 // Stream implements core.AccessSource.
-func (s *Source) Stream() *workload.Stream { return s.stream }
+func (s *Source) Stream() *workload.Stream { return s.fitted[s.bound] }
 
 // StreamSig implements core.AccessSource. Trace streams carry no
 // identity, so they never enter the simulator's ingest memo.

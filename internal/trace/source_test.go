@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,6 +24,29 @@ func dumpTestTrace(t *testing.T, dir string, gen *workload.Generator, phase int,
 		t.Fatal(err)
 	}
 	return path
+}
+
+// dumpPhases writes phases 0..n-1 of gen, each core up to instr
+// instructions, to one file each in dir and returns their paths.
+func dumpPhases(tb testing.TB, dir string, gen *workload.Generator, n int, instr uint64) []string {
+	tb.Helper()
+	var paths []string
+	for ph := 0; ph < n; ph++ {
+		path := filepath.Join(dir, fmt.Sprintf("p%d.sntr", ph))
+		f, err := os.Create(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		_, err = DumpPhase(gen, ph, instr, f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return paths
 }
 
 // writeTrace writes a hand-built trace file and returns its path.
@@ -192,20 +216,8 @@ func TestSourceTruncatesLongFile(t *testing.T) {
 
 func TestSourcePhaseWrapAcrossFiles(t *testing.T) {
 	gen := testGen(t)
-	dir := t.TempDir()
-	p0 := filepath.Join(dir, "p0.sntr")
-	p1 := filepath.Join(dir, "p1.sntr")
-	for phase, path := range map[int]string{0: p0, 1: p1} {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DumpPhase(gen, phase, 1000, f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-	src, err := NewSource(gen.Spec(), 16, 4, []string{p0, p1})
+	paths := dumpPhases(t, t.TempDir(), gen, 2, 1000)
+	src, err := NewSource(gen.Spec(), 16, 4, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +231,61 @@ func TestSourcePhaseWrapAcrossFiles(t *testing.T) {
 	src.ResetPhase(2) // wraps to file 0
 	if !reflect.DeepEqual(src.Stream(), s0) {
 		t.Fatal("phase wrap broken: phase 2 differs from phase 0")
+	}
+}
+
+// TestSourceDecodesOnce pins the decode-once contract: NewSource reads
+// every file, so steps B and C replay with the files gone, each phase
+// is fitted once per budget, and a refit matches a fresh Source.
+func TestSourceDecodesOnce(t *testing.T) {
+	gen := testGen(t)
+	paths := dumpPhases(t, t.TempDir(), gen, 2, 1500)
+	const phases = 3                     // phase 2 wraps to file 0
+	budgets := []uint64{1500, 700, 4000} // as recorded, cut, wrapped
+	open := func() *Source {
+		t.Helper()
+		src, err := NewSource(gen.Spec(), 16, 4, paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	want := map[uint64][]*workload.Stream{}
+	for _, budget := range budgets {
+		fresh := open()
+		fresh.SetPhaseBudget(budget)
+		for ph := 0; ph < phases; ph++ {
+			fresh.ResetPhase(ph)
+			want[budget] = append(want[budget], fresh.Stream())
+		}
+	}
+	src := open()
+	for _, p := range paths {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, budget := range budgets {
+		src.SetPhaseBudget(budget)
+		first := make([]*workload.Stream, phases)
+		// Step B walks the phases once, then step C's windows again.
+		for pass := 0; pass < 2; pass++ {
+			for ph := 0; ph < phases; ph++ {
+				src.ResetPhase(ph)
+				s := src.Stream()
+				if !reflect.DeepEqual(s, want[budget][ph]) {
+					t.Fatalf("budget %d, pass %d, phase %d: stream differs from a fresh Source's", budget, pass, ph)
+				}
+				if pass == 0 {
+					first[ph] = s
+				} else if s != first[ph] {
+					t.Fatalf("budget %d, phase %d: stream refitted at an unchanged budget", budget, ph)
+				}
+			}
+		}
+		if first[2] != first[0] {
+			t.Fatalf("budget %d: wrapped phase 2 refitted file 0", budget)
+		}
 	}
 }
 
@@ -282,4 +349,59 @@ func TestSourceRejectsZeroGapCore(t *testing.T) {
 	path := writeTrace(t, Header{Workload: "crafted", Cores: 64, Pages: 64}, recs)
 	_, err := NewSource(workload.Spec{Name: "crafted"}, 16, 4, []string{path})
 	wantNamedError(t, err, path, "core 3", "gap")
+}
+
+func TestSourceRejectsTruncatedRecord(t *testing.T) {
+	// A later file cut mid-record fails NewSource, naming the file and
+	// the leftover bytes, before any phase is replayed.
+	gen := testGen(t)
+	paths := dumpPhases(t, t.TempDir(), gen, 2, 1000)
+	fi, err := os.Stat(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(paths[1], fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewSource(gen.Spec(), 16, 4, paths)
+	wantNamedError(t, err, paths[1], "truncated record", fmt.Sprintf("%d trailing bytes", recordSize-5))
+}
+
+// BenchmarkSourceReplay measures the trace layer of a trace-driven run:
+// decoding four quick-scale BFS phase files and fitting them to the
+// phase budget, then binding every phase for step B and again for step
+// C, as core.RunSource does.
+func BenchmarkSourceReplay(b *testing.B) {
+	const (
+		phases = 4
+		budget = 1_000_000 // core.QuickSim's phase length
+	)
+	spec, err := workload.ByName("BFS", 0.125)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(spec, 16, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	paths := dumpPhases(b, b.TempDir(), gen, phases, budget)
+	var records int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := NewSource(spec, 16, 4, paths)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src.SetPhaseBudget(budget)
+		records = 0
+		for pass := 0; pass < 2; pass++ {
+			for ph := 0; ph < phases; ph++ {
+				src.ResetPhase(ph)
+				if s := src.Stream(); pass == 0 {
+					records += len(s.Gaps)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(records), "records/op")
 }

@@ -191,8 +191,12 @@ func decodeRecord(buf []byte) Record {
 
 // DumpPhase writes one phase of a generator's streams (all cores,
 // round-robin, each up to instrBudget instructions) to w. It returns the
-// number of records written.
+// number of records written. A zero budget is an error: it would trace
+// no access.
 func DumpPhase(gen *workload.Generator, phase int, instrBudget uint64, w io.Writer) (uint64, error) {
+	if instrBudget == 0 {
+		return 0, errors.New("trace: instruction budget must be positive")
+	}
 	tw, err := NewWriter(w, Header{
 		Workload: gen.Spec().Name,
 		Cores:    gen.NumCores(),

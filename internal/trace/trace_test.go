@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"starnuma/internal/workload"
 )
@@ -162,6 +163,25 @@ func TestDumpPhaseRoundTrip(t *testing.T) {
 		if in < 5000 {
 			t.Fatalf("core %d only traced %d instructions", c, in)
 		}
+	}
+}
+
+func TestDumpPhaseRejectsZeroBudget(t *testing.T) {
+	// No core can reach a zero budget, so the dump would never end.
+	gen := testGen(t)
+	var buf bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		_, err := DumpPhase(gen, 0, 0, &buf)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Fatalf("zero budget: err = %v, want one naming the budget", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("DumpPhase with a zero budget did not return")
 	}
 }
 
