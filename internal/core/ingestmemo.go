@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"starnuma/internal/migrate"
 	"starnuma/internal/topology"
 	"starnuma/internal/tracker"
@@ -29,10 +27,13 @@ import (
 //
 // The memo therefore captures, per (stream, phase, tracker shape,
 // placement mode): the tracker and counts snapshots plus the first-touch
-// (page, home) list. A hit replays all three by array copy instead of
-// re-walking ~10^6 recorded accesses. The software-sampling path is
-// excluded — the Sampler's per-phase fault set feeds step C's timing and
-// is cheaper to recompute than to snapshot coherently.
+// (page, home) list, kept in the process-wide internal/memo under an
+// ingestKey. The caller whose fill walks the stream has its products
+// already; every other caller — a later hit, or one that waited on that
+// fill — replays all three by array copy instead of re-walking ~10^6
+// recorded accesses. The software-sampling path is excluded — the
+// Sampler's per-phase fault set feeds step C's timing and is cheaper to
+// recompute than to snapshot coherently.
 
 // ingestKey identifies one memoized phase ingest. sig is the workload
 // stream signature (spec, system shape, per-core budget — see
@@ -54,71 +55,11 @@ type ingestEntry struct {
 	// striped placement (nothing is ever Unassigned).
 	firstPages []uint32
 	firstHomes []topology.NodeID
-	lastUse    int64
 }
 
-func (e *ingestEntry) bytes() int64 {
+// Bytes returns the entry's heap footprint for the memo budget; the
+// append-grown first-touch lists count their capacity.
+func (e *ingestEntry) Bytes() int64 {
 	return e.tbl.Bytes() + e.pc.Bytes() +
-		int64(len(e.firstPages))*4 + int64(len(e.firstHomes))*8
-}
-
-// ingestCacheCap bounds memoized ingest bytes. Entries are a few MB
-// each (dominated by the PageCounts snapshot, pages × sockets counters)
-// and one is kept per (workload, shape, phase), so the cap comfortably
-// holds a full sweep's working set; least-recently-used entries are
-// dropped past it.
-const ingestCacheCap = 2 << 30
-
-var ingestCache struct {
-	sync.Mutex
-	entries map[ingestKey]*ingestEntry
-	total   int64
-	tick    int64
-}
-
-// lookupIngest returns the memoized ingest for key, or nil.
-func lookupIngest(key ingestKey) *ingestEntry {
-	c := &ingestCache
-	c.Lock()
-	defer c.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		return nil
-	}
-	c.tick++
-	e.lastUse = c.tick
-	return e
-}
-
-// storeIngest inserts e, evicting least-recently-used entries to stay
-// under the byte cap. Oversized entries are simply not cached.
-func storeIngest(key ingestKey, e *ingestEntry) {
-	sz := e.bytes()
-	if sz > ingestCacheCap {
-		return
-	}
-	c := &ingestCache
-	c.Lock()
-	defer c.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[ingestKey]*ingestEntry)
-	}
-	if _, dup := c.entries[key]; dup {
-		return // lost a race; keep the resident copy
-	}
-	for c.total+sz > ingestCacheCap && len(c.entries) > 0 {
-		var victim ingestKey
-		oldest := int64(1<<63 - 1)
-		for k, old := range c.entries {
-			if old.lastUse < oldest {
-				oldest, victim = old.lastUse, k
-			}
-		}
-		c.total -= c.entries[victim].bytes()
-		delete(c.entries, victim)
-	}
-	c.tick++
-	e.lastUse = c.tick
-	c.entries[key] = e
-	c.total += sz
+		int64(cap(e.firstPages))*4 + int64(cap(e.firstHomes))*8
 }

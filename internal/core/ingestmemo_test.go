@@ -31,15 +31,16 @@ func traceOutputs(tr *TraceResult) map[string]any {
 }
 
 // TestIngestMemoizationIsExact runs step B for several policy variants
-// over the same workload twice — once walking every stream (plainSource:
-// no memo) and once through the memo, warmed by the preceding variants —
-// and requires byte-identical results. This is the cross-variant
-// scenario the memo exists for: the second and later fast-path runs
-// restore phase ingests recorded under a different migration policy.
+// over the same workload — once walking every stream (plainSource: no
+// memo) and then twice through the memo — and requires byte-identical
+// results. This is the cross-variant scenario the memo exists for: the
+// memoized runs are parallel subtests over one stream signature, so a
+// variant may restore phase ingests that another variant walked, or
+// wait on that walk and apply its products.
 func TestIngestMemoizationIsExact(t *testing.T) {
 	sys := StarNUMASystem()
 	topo := topology.New(sys.Topology)
-	newGen := func() *workload.Generator {
+	newGen := func(t *testing.T) *workload.Generator {
 		g, err := workload.NewGenerator(tinySpec(t, "BFS"), topo.Sockets(), sys.CoresPerSocket)
 		if err != nil {
 			t.Fatal(err)
@@ -55,20 +56,23 @@ func TestIngestMemoizationIsExact(t *testing.T) {
 		{name: "oracle", policy: PolicySpec{Name: "oracle"}},
 		{name: "none-striped", policy: PolicyNone, striped: true},
 	} {
+		cfg := tinySim()
+		cfg.Phases = 3
+		// A phase length no other test uses keeps this signature's ingest
+		// memo cold until the parallel subtests fill it.
+		cfg.PhaseInstr = 210_000
+		cfg.Policy = tc.policy
+		cfg.StripedPlacement = tc.striped
+		want, err := TraceSimulate(sys, cfg, plainSource{newGen(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tinySim()
-			cfg.Phases = 3
-			cfg.Policy = tc.policy
-			cfg.StripedPlacement = tc.striped
-
-			want, err := TraceSimulate(sys, cfg, plainSource{newGen()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Twice through the memo: the first run may record the
-			// memo entries, the second is guaranteed to restore them.
+			t.Parallel()
+			// Twice through the memo: the first run may fill the memo
+			// entries, the second is guaranteed to restore them.
 			for round := 0; round < 2; round++ {
-				got, err := TraceSimulate(sys, cfg, newGen())
+				got, err := TraceSimulate(sys, cfg, newGen(t))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 
 	"starnuma/internal/evtrace"
 	"starnuma/internal/fault"
+	"starnuma/internal/memo"
 	"starnuma/internal/metrics"
 	"starnuma/internal/migrate"
 	"starnuma/internal/sim"
@@ -56,79 +57,85 @@ type TraceResult struct {
 // counts. Cores are interleaved round-robin at miss granularity, which
 // approximates global instruction-count ordering well enough for
 // first-touch purposes. Hardware-tracker ingests over identifiable
-// streams are memoized across variants (see ingestmemo.go): a repeat of
-// the same (stream, phase, tracker shape) restores the recorded
+// streams are memoized across variants (see ingestmemo.go): the caller
+// that fills the memo entry walks the stream, and every other caller
+// for the same (stream, phase, tracker shape) restores the recorded
 // products by array copy instead of re-walking the stream.
 func ingestPhase(gen AccessSource, phase int, striped bool,
 	home []topology.NodeID, sampler *tracker.Sampler, tbl *tracker.Table,
 	counts *migrate.PageCounts) {
 	sig, memoable := gen.StreamSig()
 	memoable = memoable && sampler == nil
-	key := ingestKey{sig: sig, phase: phase, kind: tbl.Kind(),
-		regionPages: tbl.RegionPages(), striped: striped}
-	if memoable {
-		if e := lookupIngest(key); e != nil {
-			for i, p := range e.firstPages {
-				if home[p] == Unassigned {
-					home[p] = e.firstHomes[i]
-				}
-			}
-			tbl.LoadState(e.tbl)
-			counts.LoadState(e.pc)
-			return
-		}
-	}
-	gen.ResetPhase(phase)
-	s := gen.Stream()
-	cores := gen.NumCores()
-	socketOf := make([]int, cores)
-	cur := make([]int32, cores)
-	active := 0
-	for c := 0; c < cores; c++ {
-		socketOf[c] = gen.SocketOf(c)
-		cur[c] = s.Off[c]
-		if cur[c] < s.Off[c+1] {
-			active++
-		}
-	}
-	var firstPages []uint32
-	var firstHomes []topology.NodeID
-	// A core's stream ends exactly where its budget is crossed, so
-	// cursor exhaustion is the per-core finish condition.
-	for active > 0 {
+	walked := false
+	walk := func() *ingestEntry {
+		walked = true
+		e := &ingestEntry{}
+		gen.ResetPhase(phase)
+		s := gen.Stream()
+		cores := gen.NumCores()
+		socketOf := make([]int, cores)
+		cur := make([]int32, cores)
+		active := 0
 		for c := 0; c < cores; c++ {
-			i := cur[c]
-			if i >= s.Off[c+1] {
-				continue
-			}
-			cur[c] = i + 1
-			if i+1 >= s.Off[c+1] {
-				active--
-			}
-			p := s.Pages[i]
-			sk := socketOf[c]
-			if home[p] == Unassigned {
-				home[p] = topology.NodeID(sk) // first touch
-				if memoable {
-					firstPages = append(firstPages, p)
-					firstHomes = append(firstHomes, topology.NodeID(sk))
-				}
-			}
-			if sampler != nil {
-				sampler.Record(sk, p)
-			} else {
-				tbl.Record(sk, p)
-			}
-			counts.Record(sk, p)
-			if s.Writes[i] {
-				counts.RecordWrite(p)
+			socketOf[c] = gen.SocketOf(c)
+			cur[c] = s.Off[c]
+			if cur[c] < s.Off[c+1] {
+				active++
 			}
 		}
+		// A core's stream ends exactly where its budget is crossed, so
+		// cursor exhaustion is the per-core finish condition.
+		for active > 0 {
+			for c := 0; c < cores; c++ {
+				i := cur[c]
+				if i >= s.Off[c+1] {
+					continue
+				}
+				cur[c] = i + 1
+				if i+1 >= s.Off[c+1] {
+					active--
+				}
+				p := s.Pages[i]
+				sk := socketOf[c]
+				if home[p] == Unassigned {
+					home[p] = topology.NodeID(sk) // first touch
+					if memoable {
+						e.firstPages = append(e.firstPages, p)
+						e.firstHomes = append(e.firstHomes, topology.NodeID(sk))
+					}
+				}
+				if sampler != nil {
+					sampler.Record(sk, p)
+				} else {
+					tbl.Record(sk, p)
+				}
+				counts.Record(sk, p)
+				if s.Writes[i] {
+					counts.RecordWrite(p)
+				}
+			}
+		}
+		if memoable {
+			e.tbl, e.pc = tbl.SaveState(), counts.SaveState()
+		}
+		return e
 	}
-	if memoable {
-		storeIngest(key, &ingestEntry{tbl: tbl.SaveState(), pc: counts.SaveState(),
-			firstPages: firstPages, firstHomes: firstHomes})
+	if !memoable {
+		walk()
+		return
 	}
+	e := memo.Get(ingestKey{sig: sig, phase: phase, kind: tbl.Kind(),
+		regionPages: tbl.RegionPages(), striped: striped}, walk)
+	if walked {
+		return
+	}
+	for i, p := range e.firstPages {
+		if home[p] == Unassigned {
+			home[p] = e.firstHomes[i]
+		}
+	}
+	tbl.LoadState(e.tbl)
+	counts.LoadState(e.pc)
 }
 
 // TraceSimulate runs step B: per-phase migration decisions over the full

@@ -48,6 +48,7 @@ var SimPackages = []string{
 	"starnuma/internal/sim",
 	"starnuma/internal/core",
 	"starnuma/internal/evtrace",
+	"starnuma/internal/memo",
 	"starnuma/internal/migrate",
 	"starnuma/internal/coherence",
 	"starnuma/internal/cache",

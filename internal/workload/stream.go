@@ -3,19 +3,24 @@ package workload
 import (
 	"fmt"
 	"sync"
+
+	"starnuma/internal/memo"
 )
 
-// This file implements the phase-stream cache and the generator pool —
+// This file implements phase-stream memoisation and the generator pool —
 // the two allocation-side levers behind fast step-C windows.
 //
-// Stream cache: a core's miss stream for one phase is a pure function
-// of (spec, system shape, phase) — see the determinism contract on
+// Stream memo: a core's miss stream for one phase is a pure function of
+// (spec, system shape, phase) — see the determinism contract on
 // Generator. Step B replays every phase once and step C replays each
-// phase once per timing window, so without caching the same exponential
-// draws, class searches and page picks are recomputed dozens of times.
-// When a consumer declares its per-core instruction budget
-// (SetPhaseBudget), ResetPhase records the stream once into a compact
-// struct-of-arrays buffer and every later replay is pure array reads.
+// phase once per timing window, so without memoisation the same
+// exponential draws, class searches and page picks are recomputed
+// dozens of times. When a consumer declares its per-core instruction
+// budget (SetPhaseBudget), ResetPhase records the stream once into a
+// compact struct-of-arrays buffer, kept in the process-wide
+// internal/memo under a streamKey, and every later replay is pure array
+// reads. Recording is single-flight: generators that ask for the same
+// stream at once share one recording.
 //
 // Generator pool: runner workers previously built a fresh Generator per
 // window, re-deriving page→class and page→sharer assignments each time.
@@ -28,7 +33,7 @@ import (
 // [Off[c], Off[c+1]) of the four parallel arrays. It is the one
 // representation of an access stream that steps B and C read; SNTR
 // trace files (internal/trace) are its persisted form. Consumers treat
-// it as read-only: recorded streams are shared through the cache.
+// it as read-only: recorded streams are shared through the memo.
 type Stream struct {
 	Off    []int32
 	Gaps   []uint32
@@ -37,12 +42,15 @@ type Stream struct {
 	Writes []bool
 }
 
-func (s *Stream) bytes() int64 {
-	return int64(len(s.Off))*4 + int64(len(s.Gaps))*4 +
-		int64(len(s.Pages))*4 + int64(len(s.Blocks))*2 + int64(len(s.Writes))
+// Bytes returns the heap bytes the stream's arrays hold. It counts
+// capacity, not length: recording over-allocates, and the memo budget
+// must charge what is actually resident.
+func (s *Stream) Bytes() int64 {
+	return int64(cap(s.Off))*4 + int64(cap(s.Gaps))*4 +
+		int64(cap(s.Pages))*4 + int64(cap(s.Blocks))*2 + int64(cap(s.Writes))
 }
 
-// streamKey identifies one cached stream. The sig string folds in the
+// streamKey identifies one memoised stream. The sig string folds in the
 // full Spec (seed, classes, drift), the system shape, and the recording
 // budget; phase is kept separate because every phase of one workload
 // shares the sig.
@@ -51,76 +59,7 @@ type streamKey struct {
 	phase int
 }
 
-// streamCacheCap bounds cached stream bytes. It must hold the whole
-// suite's working set — every (workload, shape, phase) the process
-// touches, tens of MB each — because an evicted stream is re-recorded
-// from the RNGs at full generation cost: an undersized cap turns the
-// cache into a treadmill where each experiment evicts the streams the
-// next one needs. Least-recently-used entries are dropped only past
-// this cap, which is sized for full-scale sweeps, not just the quick
-// suite.
-const streamCacheCap = 6 << 30
-
-var streamCache struct {
-	sync.Mutex
-	entries map[streamKey]*streamEntry
-	total   int64
-	tick    int64
-}
-
-type streamEntry struct {
-	s       *Stream
-	lastUse int64
-}
-
-// lookupStream returns the cached stream for key, or nil.
-func lookupStream(key streamKey) *Stream {
-	c := &streamCache
-	c.Lock()
-	defer c.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		return nil
-	}
-	c.tick++
-	e.lastUse = c.tick
-	return e.s
-}
-
-// storeStream inserts s, evicting least-recently-used entries to stay
-// under the byte cap. Streams larger than the cap are simply not cached
-// (the caller keeps its reference either way).
-func storeStream(key streamKey, s *Stream) {
-	sz := s.bytes()
-	if sz > streamCacheCap {
-		return
-	}
-	c := &streamCache
-	c.Lock()
-	defer c.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[streamKey]*streamEntry)
-	}
-	if _, dup := c.entries[key]; dup {
-		return // lost a race; keep the resident copy
-	}
-	for c.total+sz > streamCacheCap && len(c.entries) > 0 {
-		var victim streamKey
-		oldest := int64(1<<63 - 1)
-		for k, e := range c.entries {
-			if e.lastUse < oldest {
-				oldest, victim = e.lastUse, k
-			}
-		}
-		c.total -= c.entries[victim].s.bytes()
-		delete(c.entries, victim)
-	}
-	c.tick++
-	c.entries[key] = &streamEntry{s: s, lastUse: c.tick}
-	c.total += sz
-}
-
-// streamSig derives the cache signature for a generator+budget. Spec is
+// streamSig derives the memo signature for a generator+budget. Spec is
 // a plain value type (its only reference field is the Classes slice of
 // scalar structs), so the %+v rendering is a faithful identity.
 func streamSig(spec Spec, sockets, coresPerSocket int, budget uint64) string {
@@ -131,7 +70,7 @@ func streamSig(spec Spec, sockets, coresPerSocket int, budget uint64) string {
 // instructions worth of accesses per phase (each Access consumes Gap
 // instructions; consumers stop at or before the first access that
 // reaches the budget). A non-zero budget makes the next ResetPhase
-// record or reuse a cached stream, which Stream then returns. Zero
+// record or reuse a memoised stream, which Stream then returns. Zero
 // disables recording (the default, and the step-A analysis mode).
 func (g *Generator) SetPhaseBudget(budget uint64) {
 	if budget == g.budget {
@@ -145,16 +84,10 @@ func (g *Generator) SetPhaseBudget(budget uint64) {
 	g.stream = nil
 }
 
-// loadStream returns the cached stream for phase, recording it on a
-// cache miss.
+// loadStream returns the memoised stream for phase, recording it on a
+// miss.
 func (g *Generator) loadStream(phase int) *Stream {
-	key := streamKey{sig: g.sig, phase: phase}
-	s := lookupStream(key)
-	if s == nil {
-		s = g.recordStream()
-		storeStream(key, s)
-	}
-	return s
+	return memo.Get(streamKey{sig: g.sig, phase: phase}, g.recordStream)
 }
 
 // recordStream draws every core's stream for the current phase until
@@ -205,7 +138,7 @@ func (g *Generator) ReplayArrays(budget uint64) (off []int32, pages []uint32, wr
 }
 
 // StreamSig returns the identity of the recorded phase streams — the
-// stream-cache signature folding in the Spec, the system shape and the
+// stream-memo signature folding in the Spec, the system shape and the
 // recording budget — with ok=false when no phase budget is declared.
 // Two generators with equal signatures replay byte-identical streams
 // for every phase, which is what step B's ingest memo keys on.
